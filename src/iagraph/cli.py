@@ -6,14 +6,15 @@ family), iso (compare two graphs).
 
 Exit status: 0 on success, 1 when a requested verification fails (a failed
 check, or a non-isomorphic pair under --expect iso), 2 on usage errors,
-malformed ring specs, or cap violations.  Nothing is written to stdout on
-exit 2.
+malformed ring specs, caps or --jobs that are not positive, an unwritable
+--out path, or cap violations.  Nothing is written to stdout on exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -59,26 +60,13 @@ def _add_caps_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _caps_from_args(args) -> Caps:
-    base = Caps.from_env()
+    """IAGRAPH_CAPS, overridden by the cap flags; Caps validates the values."""
     overrides = {}
-    for flag, name in (
-        ("element_cap", "element"),
-        ("torsion_cap", "torsion"),
-        ("total_cap", "total"),
-        ("subring_cap", "subring"),
-        ("iso_cap", "iso"),
-        ("graph_cap", "graph"),
-    ):
-        value = getattr(args, flag, None)
+    for name in Caps.__dataclass_fields__:
+        value = getattr(args, f"{name}_cap", None)
         if value is not None:
-            if value <= 0:
-                raise RingSpecError(f"cap {name} must be positive")
             overrides[name] = value
-    if overrides:
-        fields = {k: getattr(base, k) for k in Caps.__dataclass_fields__}
-        fields.update(overrides)
-        return Caps(**fields)
-    return base
+    return dataclasses.replace(Caps.from_env(), **overrides)
 
 
 def _build_graph(kind: str, ring_text: str | None, k: int | None, caps: Caps):
@@ -105,8 +93,11 @@ def _build_graph(kind: str, ring_text: str | None, k: int | None, caps: Caps):
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

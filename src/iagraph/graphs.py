@@ -29,7 +29,6 @@ from .rings import (
     DEFAULT_ELEMENT_CAP,
     Element,
     FiniteRing,
-    ProductRing,
     format_element,
 )
 
@@ -138,6 +137,20 @@ def compress_classes(
     ]
 
 
+def _neighbor_lists(adj: np.ndarray) -> list[list[int]]:
+    """Column indices of the true entries of a boolean matrix, row by row."""
+    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
+    cols = np.nonzero(adj)[1].tolist()
+    return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _meet_graph(ring: FiniteRing, labels, keys, class_sizes=None) -> Graph:
+    """Vertices with annihilator keys, adjacent iff their annihilators meet beyond 0."""
+    adj = ring.ann_meet_matrix(keys)
+    np.fill_diagonal(adj, False)
+    return Graph.from_neighbors(labels, _neighbor_lists(adj), class_sizes)
+
+
 def build_ia(
     ring: FiniteRing,
     cap: int | None = DEFAULT_ELEMENT_CAP,
@@ -147,16 +160,8 @@ def build_ia(
     classes = compress_classes(ring, cap)
     if len(classes) > vertex_cap:
         raise CapExceededError(f"{len(classes)} vertices above graph cap {vertex_cap}")
-    edges = [
-        (i, j)
-        for i in range(len(classes))
-        for j in range(i + 1, len(classes))
-        if ring.ann_sets_intersect(classes[i].key, classes[j].key)
-    ]
-    return Graph(
-        labels=[c.label for c in classes],
-        edges=edges,
-        class_sizes=[c.size for c in classes],
+    return _meet_graph(
+        ring, [c.label for c in classes], [c.key for c in classes], [c.size for c in classes]
     )
 
 
@@ -167,34 +172,15 @@ def build_torsion(
 ) -> Graph:
     """Uncompressed graph on Z*(R) with the same intersection adjacency.
 
-    Adjacency is evaluated pairwise on the elements themselves, not via the
-    class structure, so this build stays an independent object to compare
-    the compressed graph against.
+    Adjacency is evaluated pairwise on the keys of the elements themselves,
+    not via the class partition, so this build stays an independent object
+    to compare the compressed graph against.
     """
     zero = ring.zero
     verts = sorted(x for x in ring.zero_divisor_set(cap) if x != zero)
     if len(verts) > vertex_cap:
         raise CapExceededError(f"{len(verts)} vertices above graph cap {vertex_cap}")
-    labels = [format_element(x) for x in verts]
-    m = len(verts)
-    if isinstance(ring, ProductRing):
-        keys = np.array([ring.annihilator_key(x) for x in verts], dtype=np.int64).reshape(
-            m, ring.arity
-        )
-        adj = np.zeros((m, m), dtype=bool)
-        for c, mod in enumerate(ring.spec.factors):
-            col = keys[:, c]
-            adj |= np.lcm.outer(col, col) < mod
-        np.fill_diagonal(adj, False)
-        neighbor_sets = [np.flatnonzero(adj[i]).tolist() for i in range(m)]
-        return Graph.from_neighbors(labels, neighbor_sets)
-    edges = []
-    rows = [ring._ann_row(x) for x in verts]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if int((rows[i] & rows[j]).sum()) >= 2:
-                edges.append((i, j))
-    return Graph(labels=labels, edges=edges)
+    return _meet_graph(ring, [format_element(x) for x in verts], ring.ann_keys(verts))
 
 
 def build_total(
@@ -206,15 +192,12 @@ def build_total(
     verts = list(ring.elements(cap))
     if len(verts) > vertex_cap:
         raise CapExceededError(f"{len(verts)} vertices above graph cap {vertex_cap}")
-    zset = ring.zero_divisor_set(cap)
-    mods = ring.spec.factors
-    edges = []
-    for i, x in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            y = verts[j]
-            if tuple((a + b) % n for a, b, n in zip(x, y, mods)) in zset:
-                edges.append((i, j))
-    return Graph(labels=[format_element(x) for x in verts], edges=edges)
+    neighbors = []
+    for start, block in ring.zero_divisor_sum_blocks(verts, verts):
+        rows = np.arange(len(block))
+        block[rows, rows + start] = False  # no loops
+        neighbors += _neighbor_lists(block)
+    return Graph.from_neighbors([format_element(x) for x in verts], neighbors)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,30 @@ element-set subring of one (a ``Subring``).  Elements are tuples of
 residues, one coordinate per factor, and all arithmetic is coordinate-wise
 and exact.
 
-Zero-divisor and annihilator machinery comes in two deliberately separate
-flavours:
+Element-level questions (is x.y = 0? is x + y in Z(R)? does ann(x) meet
+ann(y) beyond 0?) go through one brute-force engine on ``FiniteRing``:
 
-* closed-form fast paths on product rings, driven by gcd/lcm arithmetic on
-  principal ideals per coordinate (an annihilator is encoded by the
-  ``AnnKey`` tuple g with g[i] = n_i // gcd(n_i, x_i)), and
-* brute-force scans over the element universe, which serve as the oracle
-  the fast paths are validated against.
+* ``_matrix``: the elements as a cached order x arity int64 matrix;
+* one mixed-radix code, sum of x_i * n_{i+1} * ... * n_k, for elements and
+  for op(a_i, b_j) over pairs.  Codes ascend with elements(), so membership
+  is a binary search in the sorted codes of the members or of Z(R), and
+  costs nothing that grows with a subring's parent;
+* zero-product rows for any list of elements, and the "x + y outside Z(R)"
+  scan, built in blocks of at most ``_BLOCK_PAIRS`` pairs, so memory stays
+  bounded and a scan stops at its first hit.  The full order x order
+  zero-product matrix is cached only where every row is needed, for a
+  subring's Z(R) mask and class codes; ``annihilator_set`` reads it there and
+  computes its one row elsewhere;
+* the annihilator classes of Z*(R), grouped once by a 1-D class code and
+  cached on the ring.
 
-Subrings always use the brute-force route: their annihilators need not be
-principal per coordinate, so no key encoding is attempted for them.
+Per variant come the Z(R) mask, the class code, opaque annihilator keys and
+their meet matrix.  Product rings use closed forms on the ``AnnKey`` g,
+g[i] = n_i // gcd(n_i, x_i): x is a zero-divisor iff some g[i] < n_i, equal
+keys mean equal annihilators, and two annihilators meet beyond 0 iff
+lcm(g[i], h[i]) < n_i for some i.  Subrings read the zero-product matrix,
+since their annihilators need not be principal per coordinate; the
+brute-force rows are also the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -23,13 +36,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as cartesian
 
 import numpy as np
 
 DEFAULT_ELEMENT_CAP = 5000
 DEFAULT_PARSE_ORDER_CAP = 10**12
+_BLOCK_PAIRS = 4096  # most element pairs one engine block holds
 
 Element = tuple[int, ...]
 AnnKey = tuple[int, ...]
@@ -164,8 +178,20 @@ def format_element(x: Element) -> str:
 # rings
 
 
+def _member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Boolean per code: whether it occurs in the ascending, non-empty sorted_codes."""
+    at = np.searchsorted(sorted_codes, codes).clip(max=len(sorted_codes) - 1)
+    return sorted_codes[at] == codes
+
+
+def _blocks(count: int, width: int):
+    """Slices of range(count) whose rows hold at most _BLOCK_PAIRS pairs of `width` columns."""
+    step = max(1, _BLOCK_PAIRS // max(1, width))
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
 class FiniteRing:
-    """Shared surface of product rings and their subrings."""
+    """Shared surface of product rings and their subrings, and the brute-force engine."""
 
     spec: RingSpec
 
@@ -175,6 +201,7 @@ class FiniteRing:
         raise NotImplementedError
 
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
+        """All members in ascending order, so 0 comes first."""
         raise NotImplementedError
 
     def contains(self, x: Element) -> bool:
@@ -189,19 +216,94 @@ class FiniteRing:
     def neg(self, x: Element) -> Element:
         raise NotImplementedError
 
-    def is_zero_divisor(self, x: Element) -> bool:
+    def nilpotent_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         raise NotImplementedError
 
-    def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
+    def parent_product(self) -> "ProductRing":
         raise NotImplementedError
 
-    def annihilator_classes(
-        self, cap: int | None = DEFAULT_ELEMENT_CAP
-    ) -> list[tuple[object, list[Element]]]:
+    # --- per-variant annihilator data ------------------------------------
+    # Each variant also caches, over elements(), ``_zero_divisor_mask`` (Z(R),
+    # 0 included) and ``_class_codes`` (integers, equal on two zero-divisors
+    # iff their annihilators are).
+    def ann_keys(self, xs) -> list:
+        """Opaque annihilator keys of the elements xs, as ann_meet_matrix takes them."""
         raise NotImplementedError
 
-    def ann_sets_intersect(self, key_a: object, key_b: object) -> bool:
+    def ann_meet_matrix(self, keys) -> np.ndarray:
+        """Boolean matrix: [i, j] iff the annihilators of keys i and j meet beyond 0."""
         raise NotImplementedError
+
+    # --- the brute-force engine ------------------------------------------
+    @cached_property
+    def _strides(self) -> tuple[int, ...]:
+        mods = self.spec.factors
+        return tuple(math.prod(mods[i + 1 :]) for i in range(len(mods)))
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        """elements() as an order x arity int64 matrix; callers enforce the cap first."""
+        return self._as_matrix(self.elements(cap=None))
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        """Code of each element, ascending since elements() is sorted."""
+        return self._matrix @ np.array(self._strides, dtype=np.int64)
+
+    @cached_property
+    def _zero_divisor_codes(self) -> np.ndarray:
+        return self._codes[self._zero_divisor_mask]
+
+    def _as_matrix(self, xs) -> np.ndarray:
+        return np.array(xs, dtype=np.int64).reshape(len(xs), self.arity)
+
+    @cached_property
+    def _positions(self) -> dict[Element, int]:
+        return {x: i for i, x in enumerate(self.elements(cap=None))}
+
+    def _index(self, x: Element) -> int:
+        """Position of x in elements()."""
+        try:
+            return self._positions[x]
+        except KeyError:
+            raise ValueError(f"{x} is not a member of {self!r}") from None
+
+    def _pair_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Codes of op(a_i, b_j) for rows a_i of a and b_j of b (np.add, np.multiply, ...)."""
+        out = np.zeros((len(a), len(b)), dtype=np.int64)
+        for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
+            out += op.outer(a[:, c], b[:, c]) % n * s
+        return out
+
+    def _zero_rows(self, a: np.ndarray) -> np.ndarray:
+        """Boolean rows: [i, j] iff a_i * e_j = 0, for the element rows a."""
+        mat = self._matrix
+        out = np.empty((len(a), len(mat)), dtype=bool)
+        for rows in _blocks(len(a), len(mat)):
+            out[rows] = self._pair_codes(np.multiply, a[rows], mat) == 0
+        return out
+
+    @cached_property
+    def _zero_product_matrix(self) -> np.ndarray:
+        """Every zero-product row; only built where all of them are needed."""
+        return self._zero_rows(self._matrix)
+
+    def zero_divisor_sum_blocks(self, xs, ys):
+        """Yield (start, block) with block[i, j] true iff xs[start + i] + ys[j] is in Z(R)."""
+        a = self._as_matrix(xs)
+        b = a if ys is xs else self._as_matrix(ys)
+        for rows in _blocks(len(a), len(b)):
+            sums = self._pair_codes(np.add, a[rows], b)
+            yield rows.start, _member(self._zero_divisor_codes, sums)
+
+    def first_sum_outside_zero_divisors(self, xs, ys) -> tuple[Element, Element] | None:
+        """The first (xs[i], ys[j]) in row-major order with a sum outside Z(R), or None."""
+        for start, block in self.zero_divisor_sum_blocks(xs, ys):
+            outside = ~block
+            if outside.any():
+                i, j = divmod(int(outside.argmax()), outside.shape[1])
+                return xs[start + i], ys[j]
+        return None
 
     # --- shared derived operations ---------------------------------------
     @property
@@ -216,46 +318,79 @@ class FiniteRing:
     def one(self) -> Element:
         return tuple(1 for _ in self.spec.factors)
 
+    def is_zero_divisor(self, x: Element) -> bool:
+        return bool(self._zero_divisor_mask[self._index(x)])
+
+    def _zero_divisors(self, cap: int | None) -> list[Element]:
+        elems = self.elements(cap)
+        return [elems[i] for i in np.flatnonzero(self._zero_divisor_mask)]
+
     def zero_divisor_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """Z(R), with 0 included by convention."""
-        return {x for x in self.elements(cap) if self.is_zero_divisor(x)}
+        return set(self._zero_divisors(cap))
+
+    def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
+        """ann(x), one row of the zero-product matrix, read from the full matrix
+        where it is already cached and computed alone otherwise."""
+        elems = self.elements(cap)
+        i = self._index(x)
+        if "_zero_product_matrix" in self.__dict__:
+            row = self._zero_product_matrix[i]
+        else:
+            row = self._pair_codes(np.multiply, self._matrix[i : i + 1], self._matrix)[0] == 0
+        return {elems[j] for j in row.nonzero()[0]}
 
     def zero_divisor_ideal_witness(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
     ) -> tuple[Element, Element] | None:
-        """A pair x, y in Z(R) with x + y not in Z(R), or None if Z(R) is an ideal.
+        """The first pair x <= y of Z(R) in sorted order with x + y not in Z(R),
+        or None if Z(R) is an ideal.
 
         Additive closure is the only condition tested: Z(R) always absorbs
         ring multiplication and additive inverses, so closure under + is
-        equivalent to being an ideal.
+        equivalent to being an ideal.  The first hit of the full square already
+        has x <= y: a hit (y, x) with x < y would come after the hit (x, y).
         """
-        zset = self.zero_divisor_set(cap)
-        zs = sorted(zset)
-        mods = self.spec.factors
-        for i, x in enumerate(zs):
-            for y in zs[i:]:
-                s = tuple((a + b) % n for a, b, n in zip(x, y, mods))
-                if s not in zset:
-                    return (x, y)
-        return None
+        zs = self._zero_divisors(cap)
+        return self.first_sum_outside_zero_divisors(zs, zs)
 
     def is_zero_divisors_ideal(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> bool:
         return self.zero_divisor_ideal_witness(cap) is None
 
+    @cached_property
+    def _classes(self) -> list[tuple[object, list[Element]]]:
+        elems = self.elements(cap=None)
+        members = np.flatnonzero(self._zero_divisor_mask)[1:]  # elements()[0] is 0
+        if not len(members):
+            return []
+        codes = self._class_codes[members]
+        by_code = np.argsort(codes, kind="stable")
+        groups = np.split(members[by_code], np.flatnonzero(np.diff(codes[by_code])) + 1)
+        groups.sort(key=lambda g: g[0])
+        keys = self.ann_keys([elems[g[0]] for g in groups])
+        return [(key, [elems[i] for i in g]) for key, g in zip(keys, groups)]
+
+    def annihilator_classes(
+        self, cap: int | None = DEFAULT_ELEMENT_CAP
+    ) -> list[tuple[object, list[Element]]]:
+        """Partition of Z*(R) by annihilator as (key, sorted members), sorted by
+        least member.  Computed once and cached on the ring: do not mutate it."""
+        self.elements(cap)
+        return self._classes
+
+    def _representative_rows(self, cap: int | None) -> tuple[list[Element], np.ndarray]:
+        """Class representatives and their zero-product rows.  ann is constant on a
+        class, so these rows stand for every nonzero zero-divisor."""
+        reps = [members[0] for _, members in self.annihilator_classes(cap)]
+        return reps, self._zero_rows(self._as_matrix(reps))
+
     def common_annihilator_of_zero_divisors(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
     ) -> set[Element]:
-        """{r in R : r.z = 0 for all z in Z(R)}."""
-        zero = self.zero
-        candidates = set(self.elements(cap))
-        for z in sorted(self.zero_divisor_set(cap)):
-            candidates = {r for r in candidates if self.mul(r, z) == zero}
-            if candidates == {zero}:
-                break
-        return candidates
-
-    def nilpotent_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        raise NotImplementedError
+        """{r in R : r.z = 0 for all z in Z(R)}; ann(0) = R adds no condition."""
+        elems = self.elements(cap)
+        _, rows = self._representative_rows(cap)
+        return {elems[j] for j in np.flatnonzero(rows.all(axis=0))}
 
     def is_reduced(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> bool:
         return self.nilpotent_set(cap) == {self.zero}
@@ -307,9 +442,6 @@ class FiniteRing:
                 x = self.add(x, g)
         return group
 
-    def parent_product(self) -> "ProductRing":
-        raise NotImplementedError
-
     def has_ann_direct_sum_decomposition(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
     ) -> tuple[bool, tuple[Element, Element] | None]:
@@ -319,17 +451,14 @@ class FiniteRing:
         in 0 and their sizes multiply to |R|, which forces ann(x) + ann(y)
         to be all of R.  Same-class pairs can never qualify (their common
         annihilator is the whole nonzero annihilator), so it suffices to
-        scan pairs of distinct annihilator classes.
+        scan pairs of distinct annihilator classes, first pair first.
         """
-        order = self.order
-        classes = self.annihilator_classes(cap)
-        ann_sets = [self.annihilator_set(members[0], cap) for _, members in classes]
-        zero = self.zero
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                a, b = ann_sets[i], ann_sets[j]
-                if len(a) * len(b) == order and a & b == {zero}:
-                    return True, (classes[i][1][0], classes[j][1][0])
+        reps, rows = self._representative_rows(cap)
+        sizes = rows.sum(axis=1)
+        sized = np.triu(np.multiply.outer(sizes, sizes) == self.order, 1)
+        for i, j in np.argwhere(sized):
+            if np.count_nonzero(rows[i] & rows[j]) == 1:
+                return True, (reps[i], reps[j])
         return False, None
 
 
@@ -340,7 +469,6 @@ class ProductRing(FiniteRing):
         self.spec = spec
         self.mods = spec.factors
         self._element_cache: tuple[Element, ...] | None = None
-        self._matrix_cache: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"ProductRing({self.spec.ring_id()})"
@@ -375,11 +503,6 @@ class ProductRing(FiniteRing):
             self._element_cache = tuple(cartesian(*[range(n) for n in self.mods]))
         return self._element_cache
 
-    def _matrix(self) -> np.ndarray:
-        if self._matrix_cache is None:
-            self._matrix_cache = np.array(self.elements(), dtype=np.int64)
-        return self._matrix_cache
-
     # --- arithmetic ----------------------------------------------------------
     def add(self, x: Element, y: Element) -> Element:
         self._validate(x)
@@ -395,7 +518,7 @@ class ProductRing(FiniteRing):
         self._validate(x)
         return tuple((-a) % n for a, n in zip(x, self.mods))
 
-    # --- zero divisors and annihilators ---------------------------------------
+    # --- zero divisors and annihilators, closed forms ----------------------
     def is_zero_divisor(self, x: Element) -> bool:
         """gcd test per coordinate; gcd(n, 0) = n puts 0 in Z(R) as wanted."""
         self._validate(x)
@@ -404,7 +527,7 @@ class ProductRing(FiniteRing):
     def annihilator_key(self, x: Element) -> AnnKey:
         """Per-coordinate principal generator of ann(x): g[i] = n_i // gcd(n_i, x_i)."""
         self._validate(x)
-        return tuple(n // math.gcd(a, n) for a, n in zip(x, self.mods))
+        return self.ann_keys([x])[0]
 
     def expand_annihilator_key(
         self, key: AnnKey, cap: int | None = DEFAULT_ELEMENT_CAP
@@ -417,38 +540,37 @@ class ProductRing(FiniteRing):
             raise CapExceededError(f"ideal of size {size} above the cap {cap}")
         return set(cartesian(*[range(0, n, g) for g, n in zip(key, self.mods)]))
 
+    @cached_property
+    def _key_matrix(self) -> np.ndarray:
+        """annihilator_key of every element, one row each."""
+        mods = np.array(self.mods, dtype=np.int64)
+        return mods // np.gcd(self._matrix, mods)
+
+    @cached_property
+    def _zero_divisor_mask(self) -> np.ndarray:
+        return (self._key_matrix < np.array(self.mods, dtype=np.int64)).any(axis=1)
+
+    @cached_property
+    def _class_codes(self) -> np.ndarray:
+        # each key entry g lies in 1..n, so g - 1 is a coordinate and gets a code
+        return (self._key_matrix - 1) @ np.array(self._strides, dtype=np.int64)
+
+    def ann_keys(self, xs) -> list[AnnKey]:
+        gcd, mods = math.gcd, self.mods
+        return [tuple(n // gcd(a, n) for a, n in zip(x, mods)) for x in xs]
+
+    def ann_meet_matrix(self, keys) -> np.ndarray:
+        keys = np.array(keys, dtype=np.int64).reshape(len(keys), self.arity)
+        meet = np.zeros((len(keys), len(keys)), dtype=bool)
+        for c, n in enumerate(self.mods):
+            meet |= np.lcm.outer(keys[:, c], keys[:, c]) < n
+        return meet
+
     def ann_intersection_nonzero(self, a: AnnKey, b: AnnKey) -> bool:
         """ann(x) and ann(y) meet beyond 0 iff lcm of generators stays proper somewhere."""
         if len(a) != self.arity or len(b) != self.arity:
             raise ValueError("key arity mismatch")
-        return any(math.lcm(g, h) < n for g, h, n in zip(a, b, self.mods))
-
-    def ann_sets_intersect(self, key_a: AnnKey, key_b: AnnKey) -> bool:
-        return self.ann_intersection_nonzero(key_a, key_b)
-
-    def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        """Exact annihilator by scanning every ring member."""
-        self._validate(x)
-        elems = self.elements(cap)
-        if self.order <= 256:
-            mods = self.mods
-            return {
-                r for r in elems if all(a * b % n == 0 for a, b, n in zip(r, x, mods))
-            }
-        mat = self._matrix()
-        mask = ((mat * np.array(x, dtype=np.int64)) % np.array(self.mods, dtype=np.int64)).max(
-            axis=1
-        ) == 0
-        return {elems[i] for i in np.flatnonzero(mask)}
-
-    def zero_divisor_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        gcd = math.gcd
-        mods = self.mods
-        return {
-            x
-            for x in self.elements(cap)
-            if any(gcd(a, n) != 1 for a, n in zip(x, mods))
-        }
+        return bool(self.ann_meet_matrix([a, b])[0, 1])
 
     def nilpotent_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """x is nilpotent iff rad(n_i) divides x_i in every coordinate."""
@@ -459,32 +581,13 @@ class ProductRing(FiniteRing):
         rads = [radical(n) for n in self.mods]
         return set(cartesian(*[range(0, n, r) for n, r in zip(self.mods, rads)]))
 
-    def annihilator_classes(
-        self, cap: int | None = DEFAULT_ELEMENT_CAP
-    ) -> list[tuple[AnnKey, list[Element]]]:
-        """Partition of Z*(R) by annihilator, keyed by AnnKey, sorted by least member."""
-        groups: dict[AnnKey, list[Element]] = {}
-        unit_key = tuple(self.mods)
-        zero = self.zero
-        gcd = math.gcd
-        mods = self.mods
-        for x in self.elements(cap):
-            if x == zero:
-                continue
-            key = tuple(n // gcd(a, n) for a, n in zip(x, mods))
-            if key == unit_key:
-                continue
-            groups.setdefault(key, []).append(x)
-        out = [(key, sorted(members)) for key, members in groups.items()]
-        out.sort(key=lambda item: item[1][0])
-        return out
-
 
 class Subring(FiniteRing):
     """An element-set subring of a product ring.
 
-    Arithmetic delegates to the parent; every enumeration question is
-    answered by scanning the member set, never by key arithmetic.
+    Arithmetic delegates to the parent; every annihilator question is
+    answered from the zero-product matrix of the members, never by key
+    arithmetic.
     """
 
     def __init__(self, parent: ProductRing, members: frozenset[Element]):
@@ -498,9 +601,6 @@ class Subring(FiniteRing):
                 raise ValueError(f"{x} is outside the parent ring")
         self.has_one = parent.one in members
         self._element_cache: tuple[Element, ...] | None = None
-        self._index_cache: dict[Element, int] | None = None
-        self._matrix_cache: np.ndarray | None = None
-        self._zero_rows_cache: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Subring({self.spec.ring_id()}, {len(self.members)} members)"
@@ -541,69 +641,41 @@ class Subring(FiniteRing):
         return self.parent.neg(x)
 
     def validate_closure(self) -> None:
-        """Assert closure under +, *, additive inverse (vectorized)."""
-        mat = self._matrix()
-        mods = list(self.spec.factors)
-        strides = [1] * len(mods)
-        for i in range(len(mods) - 2, -1, -1):
-            strides[i] = strides[i + 1] * mods[i + 1]
-        stride_vec = np.array(strides, dtype=np.int64)
-        codes = np.sort(mat @ stride_vec)
-        m = len(mat)
-        sum_codes = np.zeros((m, m), dtype=np.int64)
-        prod_codes = np.zeros((m, m), dtype=np.int64)
-        for c, mod in enumerate(mods):
-            col = mat[:, c]
-            sum_codes += ((col[:, None] + col[None, :]) % mod) * strides[c]
-            prod_codes += ((col[:, None] * col[None, :]) % mod) * strides[c]
-        neg_codes = ((-mat) % np.array(mods, dtype=np.int64)) @ stride_vec
-        for name, flat in (
-            ("+", sum_codes.ravel()),
-            ("*", prod_codes.ravel()),
-            ("-", neg_codes),
-        ):
-            if not np.isin(flat, codes).all():
-                raise ValueError(f"subring not closed under {name}")
+        """Raise ValueError unless the members are closed under +, * and additive inverse."""
+        mat = self._matrix
+        zero = mat[:1]  # elements()[0] is 0, and -x = 0 - x
+        for name, op, a in (("+", np.add, mat), ("*", np.multiply, mat), ("-", np.subtract, zero)):
+            for rows in _blocks(len(a), len(mat)):
+                if not _member(self._codes, self._pair_codes(op, a[rows], mat)).all():
+                    raise ValueError(f"subring not closed under {name}")
 
     def annihilator_key(self, x: Element):
         raise UnsupportedVariantError(
             "annihilator keys are defined on product rings only; use annihilator_set"
         )
 
-    # --- brute-force annihilator machinery -------------------------------
-    def _matrix(self) -> np.ndarray:
-        if self._matrix_cache is None:
-            self._matrix_cache = np.array(self.elements(cap=None), dtype=np.int64)
-        return self._matrix_cache
+    # --- annihilators from the zero-product matrix ------------------------
+    @cached_property
+    def _zero_divisor_mask(self) -> np.ndarray:
+        mask = self._zero_product_matrix.sum(axis=1) >= 2  # killed by some nonzero member
+        mask[0] = True  # 0 is in Z(R) by convention
+        return mask
 
-    def _zero_product_rows(self) -> np.ndarray:
-        """Boolean matrix: rows[i][j] iff e_i * e_j = 0."""
-        if self._zero_rows_cache is None:
-            mat = self._matrix()
-            m = len(mat)
-            mask = np.ones((m, m), dtype=bool)
-            for c, mod in enumerate(self.spec.factors):
-                col = mat[:, c]
-                mask &= (col[:, None] * col[None, :]) % mod == 0
-            self._zero_rows_cache = mask
-        return self._zero_rows_cache
+    @cached_property
+    def _class_codes(self) -> np.ndarray:
+        ids: dict[bytes, int] = {}
+        return np.array(
+            [ids.setdefault(row.tobytes(), len(ids)) for row in self._zero_product_matrix],
+            dtype=np.int64,
+        )
 
-    def _ann_row(self, x: Element) -> np.ndarray:
-        if self._index_cache is None:
-            self._index_cache = {e: i for i, e in enumerate(self.elements(cap=None))}
-        return self._zero_product_rows()[self._index_cache[x]]
+    def ann_keys(self, xs) -> list[int]:
+        """The position of each element in elements(), which indexes its row."""
+        return [self._index(x) for x in xs]
 
-    def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        self._check_member(x)
-        elems = self.elements(cap)
-        row = self._ann_row(x)
-        return {elems[i] for i in np.flatnonzero(row)}
-
-    def is_zero_divisor(self, x: Element) -> bool:
-        self._check_member(x)
-        if x == self.parent.zero:
-            return True
-        return int(self._ann_row(x).sum()) >= 2
+    def ann_meet_matrix(self, keys) -> np.ndarray:
+        rows = self._zero_product_matrix[list(keys)].astype(np.int64)
+        return rows @ rows.T >= 2  # 0 annihilates everything; need one more
 
     def nilpotent_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """Brute powering: square until the power stabilizes or hits 0."""
@@ -619,30 +691,6 @@ class Subring(FiniteRing):
             if y == zero:
                 out.add(x)
         return out
-
-    def annihilator_classes(
-        self, cap: int | None = DEFAULT_ELEMENT_CAP
-    ) -> list[tuple[bytes, list[Element]]]:
-        """Partition of Z*(S) by annihilator, keyed by the scan row bytes."""
-        elems = self.elements(cap)
-        rows = self._zero_product_rows()
-        counts = rows.sum(axis=1)
-        zero = self.parent.zero
-        groups: dict[bytes, list[Element]] = {}
-        for i, x in enumerate(elems):
-            if x == zero:
-                continue
-            if counts[i] < 2:
-                continue  # unit: only 0 annihilates it
-            groups.setdefault(rows[i].tobytes(), []).append(x)
-        out = [(key, sorted(members)) for key, members in groups.items()]
-        out.sort(key=lambda item: item[1][0])
-        return out
-
-    def ann_sets_intersect(self, key_a: bytes, key_b: bytes) -> bool:
-        a = np.frombuffer(key_a, dtype=bool)
-        b = np.frombuffer(key_b, dtype=bool)
-        return int((a & b).sum()) >= 2  # 0 annihilates everything; need one more
 
 
 def product_ring(text_or_spec) -> ProductRing:

@@ -20,13 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import (
-    Graph,
-    build_ia,
-    build_ia_zn_symbolic,
-    build_torsion,
-    compress_classes,
-)
+from .graphs import Graph, build_ia, build_ia_zn_symbolic, build_torsion
 from .invariants import InvariantReport, diameter, invariants, is_isomorphic
 from .rings import (
     CapExceededError,
@@ -82,6 +76,12 @@ class Caps:
     subring: int = 500  # ring order for the generated-subring check
     iso: int = 64  # vertex count for isomorphism testing
     graph: int = 4096  # vertex count for graph construction
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"cap {name} must be a positive integer, got {value!r}")
 
     @staticmethod
     def from_env(env: dict | None = None) -> "Caps":
@@ -192,36 +192,8 @@ class _RingContext:
 
     # graph side -----------------------------------------------------------
     @property
-    def raw_classes(self):
-        return self._get(
-            "raw_classes", lambda: self.ring.annihilator_classes(self.caps.element)
-        )
-
-    @property
-    def classes(self):
-        return self._get("classes", lambda: compress_classes(self.ring, self.caps.element))
-
-    @property
     def ia(self) -> Graph:
-        def make():
-            classes = self.classes
-            if len(classes) > self.caps.graph:
-                raise CapExceededError(
-                    f"{len(classes)} vertices above graph cap {self.caps.graph}"
-                )
-            edges = [
-                (i, j)
-                for i in range(len(classes))
-                for j in range(i + 1, len(classes))
-                if self.ring.ann_sets_intersect(classes[i].key, classes[j].key)
-            ]
-            return Graph(
-                labels=[c.label for c in classes],
-                edges=edges,
-                class_sizes=[c.size for c in classes],
-            )
-
-        return self._get("ia", make)
+        return self._get("ia", lambda: build_ia(self.ring, self.caps.element, self.caps.graph))
 
     @property
     def ia_inv(self) -> InvariantReport:
@@ -239,10 +211,6 @@ class _RingContext:
         return self._get("torsion", make)
 
     # ring side ------------------------------------------------------------
-    @property
-    def zset(self) -> set:
-        return self._get("zset", lambda: self.ring.zero_divisor_set(self.caps.element))
-
     @property
     def z_ideal_witness(self):
         return self._get(
@@ -323,7 +291,7 @@ def _check_subring(ctx: _RingContext) -> TheoremCheck:
         raise CapExceededError(
             f"order {ctx.ring.order} above subring cap {ctx.caps.subring}"
         )
-    reps = [c.representative for c in ctx.classes]
+    reps = [members[0] for _, members in ctx.ring.annihilator_classes(ctx.caps.element)]
     sub = ctx.ring.subring_generated(reps, include_one=True, cap=ctx.caps.element)
     sub.validate_closure()
     ia_sub = build_ia(sub, ctx.caps.element, ctx.caps.graph)
@@ -353,29 +321,26 @@ def _check_embed(ctx: _RingContext) -> TheoremCheck:
     """Every compressed edge lifts to total-graph adjacency for all member pairs."""
     if ctx.ring.order > ctx.caps.total:
         raise CapExceededError(f"order {ctx.ring.order} above total cap {ctx.caps.total}")
-    raw = ctx.raw_classes
-    zset = ctx.zset
-    mods = ctx.spec.factors
+    raw = ctx.ring.annihilator_classes(ctx.caps.element)
     edges = ctx.ia.edges()
     if not edges:
         return TheoremCheck(
             "T2.embed", applicable=True, passed=True, reason="no edges (vacuous)"
         )
     for i, j in edges:
-        for x in raw[i][1]:
-            for y in raw[j][1]:
-                s = tuple((a + b) % n for a, b, n in zip(x, y, mods))
-                if s not in zset:
-                    return TheoremCheck(
-                        "T2.embed",
-                        applicable=True,
-                        passed=False,
-                        witness={
-                            "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
-                            "members": [format_element(x), format_element(y)],
-                            "sum": format_element(s),
-                        },
-                    )
+        pair = ctx.ring.first_sum_outside_zero_divisors(raw[i][1], raw[j][1])
+        if pair is not None:
+            x, y = pair
+            return TheoremCheck(
+                "T2.embed",
+                applicable=True,
+                passed=False,
+                witness={
+                    "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
+                    "members": [format_element(x), format_element(y)],
+                    "sum": format_element(ctx.ring.add(x, y)),
+                },
+            )
     return TheoremCheck("T2.embed", applicable=True, passed=True)
 
 
@@ -657,25 +622,14 @@ def check_ring(ring, checks="all", caps: Caps | None = None) -> RingReport:
 
 def embedding_check(ring, caps: Caps | None = None) -> TheoremCheck:
     """Standalone entry for the total-graph embedding law."""
-    caps = caps or Caps()
-    if isinstance(ring, str):
-        ring = ProductRing(parse_ring_spec(ring))
-    elif isinstance(ring, RingSpec):
-        ring = ProductRing(ring)
-    ctx = _RingContext(ring, caps)
-    try:
-        return _check_embed(ctx)
-    except CapExceededError as exc:
-        return TheoremCheck(
-            "T2.embed", applicable=False, passed=None, skipped=True, reason=str(exc)
-        )
+    return check_ring(ring, ("T2.embed",), caps).checks[0]
 
 
 # ---------------------------------------------------------------------------
 # symbolic-mode checking for Z_n
 
 
-_SYMBOLIC_INV_CACHE: dict[tuple[int, ...], tuple[InvariantReport, bool]] = {}
+_SYMBOLIC_INV_CACHE: dict[tuple[int, ...], InvariantReport] = {}
 
 
 def _symbolic_signature(fac) -> tuple[int, ...]:
@@ -693,9 +647,9 @@ def symbolic_invariants(n: int, caps: Caps, use_cache: bool = True) -> Invariant
     fac = factorize(n)
     sig = _symbolic_signature(fac)
     if use_cache and sig in _SYMBOLIC_INV_CACHE:
-        return _SYMBOLIC_INV_CACHE[sig][0]
+        return _SYMBOLIC_INV_CACHE[sig]
     inv = invariants(build_ia_zn_symbolic(dict(fac), caps.graph))
-    _SYMBOLIC_INV_CACHE[sig] = (inv, True)
+    _SYMBOLIC_INV_CACHE[sig] = inv
     return inv
 
 
@@ -766,6 +720,8 @@ class SweepConfig:
             raise ValueError("sweep bound must be at least 2")
         if self.max_factors < 1:
             raise ValueError("max_factors must be at least 1")
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise ValueError(f"jobs must be a positive integer, got {self.jobs!r}")
 
 
 @dataclass

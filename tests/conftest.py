@@ -120,3 +120,20 @@ def small_ring_ids():
         "Z4xZ6",
         "Z2xZ9",
     )
+
+
+@pytest.fixture(scope="session")
+def generated_subrings():
+    """Subrings of Z4xZ4, Z2xZ3xZ5 and Z8xZ2: the one T2.subring builds from the
+    class representatives and 1, and those generated by single elements."""
+    from iagraph.rings import product_ring
+
+    out = []
+    for rid in ("Z4xZ4", "Z2xZ3xZ5", "Z8xZ2"):
+        ring = product_ring(rid)
+        reps = [members[0] for _, members in ring.annihilator_classes()]
+        out.append(ring.subring_generated(reps, include_one=True))
+        for x in ring.elements()[1::3]:
+            out.append(ring.subring_generated([x]))
+            out.append(ring.subring_generated([x], include_one=True))
+    return out

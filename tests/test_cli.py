@@ -314,3 +314,28 @@ def test_nonpositive_cap_rejected(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ring", "Z12", "--element-cap", "0")
     assert code == 2
     assert out == ""
+
+
+def test_unwritable_out_path_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "z12.dot"
+    code, out, err = run_cli(capsys, "build", "--ring", "Z12", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_nonpositive_cap_in_env_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("IAGRAPH_CAPS", "element=0")
+    code, out, err = run_cli(capsys, "verify", "--ring", "Z12")
+    assert code == 2
+    assert out == ""
+    assert "cap element" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_nonpositive_jobs_rejected(capsys, jobs):
+    code, out, err = run_cli(capsys, "sweep", "--family", "zn", "--max", "10", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "jobs" in err

@@ -1,5 +1,6 @@
 """Graph builders: compression, the three element graphs, symbolic modes, export."""
 
+import itertools
 import json
 import random
 
@@ -18,9 +19,10 @@ from iagraph.graphs import (
     zn_symbolic_from_n,
 )
 from iagraph.invariants import is_isomorphic
-from iagraph.rings import CapExceededError, product_ring
+from iagraph.rings import CapExceededError, format_element, product_ring
+from iagraph.theorems import Caps, check_ring
 
-from conftest import oracle_annihilator, oracle_zero_divisors, ring_elements
+from conftest import oracle_add, oracle_annihilator, oracle_zero_divisors, ring_elements
 
 
 def edge_label_pairs(graph):
@@ -370,6 +372,72 @@ def test_every_compressed_edge_lifts_to_total(small_ring_ids):
                         x,
                         y,
                     )
+
+
+# ---------------------------------------------------------------------------
+# differential: the block sum scan against the plain loops it replaced
+
+
+def loop_total_edges(ring):
+    verts = list(ring.elements())
+    zset = ring.zero_divisor_set()
+    mods = ring.spec.factors
+    return [
+        (i, j)
+        for i, x in enumerate(verts)
+        for j in range(i + 1, len(verts))
+        if oracle_add(mods, x, verts[j]) in zset
+    ]
+
+
+def loop_first_sum_outside(ring, xs, ys):
+    zset = ring.zero_divisor_set()
+    for x in xs:
+        for y in ys:
+            if oracle_add(ring.spec.factors, x, y) not in zset:
+                return x, y
+    return None
+
+
+def loop_embed_witness(ring):
+    """The T2.embed triple loop over compressed edges and class members."""
+    g = build_ia(ring)
+    raw = ring.annihilator_classes()
+    for i, j in g.edges():
+        pair = loop_first_sum_outside(ring, raw[i][1], raw[j][1])
+        if pair is not None:
+            x, y = pair
+            return {
+                "edge": [g.labels[i], g.labels[j]],
+                "members": [format_element(x), format_element(y)],
+                "sum": format_element(oracle_add(ring.spec.factors, x, y)),
+            }
+    return None
+
+
+def test_total_matches_pair_loop(small_ring_ids, generated_subrings):
+    rings = [product_ring(rid) for rid in small_ring_ids] + generated_subrings
+    for ring in rings + [product_ring("Z512")]:
+        g = build_total(ring)
+        assert g.labels == tuple(format_element(x) for x in ring.elements())
+        assert g.edges() == loop_total_edges(ring), ring
+
+
+def test_sum_scan_matches_loops(small_ring_ids, generated_subrings):
+    """Every ordered pair of classes, edges or not, so that witnesses occur."""
+    for ring in [product_ring(rid) for rid in small_ring_ids] + generated_subrings:
+        raw = ring.annihilator_classes()
+        for (_, xs), (_, ys) in itertools.permutations(raw, 2):
+            got = ring.first_sum_outside_zero_divisors(xs, ys)
+            assert got == loop_first_sum_outside(ring, xs, ys), (ring, xs, ys)
+
+
+def test_embed_check_matches_triple_loop(small_ring_ids, generated_subrings):
+    caps = Caps(total=4096)
+    rings = [product_ring(rid) for rid in small_ring_ids] + generated_subrings
+    for ring in rings + [product_ring("Z4096")]:
+        check = check_ring(ring, ("T2.embed",), caps).checks[0]
+        assert check.witness == loop_embed_witness(ring), ring
 
 
 # ---------------------------------------------------------------------------

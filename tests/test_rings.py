@@ -1,9 +1,11 @@
 """Ring core: parsing, arithmetic, zero divisors, annihilators, subrings."""
 
 import math
+import tracemalloc
 
 import pytest
 
+from iagraph.graphs import build_total
 from iagraph.rings import (
     CapExceededError,
     ProductRing,
@@ -21,6 +23,7 @@ from iagraph.rings import (
 )
 
 from conftest import (
+    oracle_add,
     oracle_annihilator,
     oracle_classes,
     oracle_mul,
@@ -232,6 +235,19 @@ def test_annihilator_set_numpy_path_matches_oracle():
     ring = product_ring("Z300")
     for x in [(0,), (2,), (25,), (30,), (77,), (150,), (299,)]:
         assert ring.annihilator_set(x) == oracle_annihilator((300,), x)
+
+
+def test_annihilator_set_builds_one_row_only():
+    # the full zero-product matrix of Z4998 alone would take 25 MB
+    ring = product_ring("Z4998")
+    ring.elements()
+    tracemalloc.start()
+    try:
+        assert ring.annihilator_set((2,)) == oracle_annihilator((4998,), (2,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_same_gcd_same_annihilator_sweep():
@@ -452,6 +468,20 @@ def test_subring_annihilators_are_relative():
         assert sub.annihilator_set(x) == expected, x
 
 
+def test_small_subring_of_huge_parent():
+    """Subring scans cost what the members cost, whatever the parent's order."""
+    parent = product_ring("Z1000000xZ1000000")
+    x = (500000, 0)
+    sub = Subring(parent, frozenset({parent.zero, x}))
+    sub.validate_closure()
+    assert sub.zero_divisor_set() == {parent.zero, x}
+    assert sub.zero_divisor_ideal_witness() is None
+    assert sub.annihilator_set(x) == {parent.zero, x}
+    assert build_total(sub).edge_count == 1
+    with pytest.raises(ValueError):
+        Subring(parent, frozenset({parent.zero, (1, 0)})).validate_closure()
+
+
 def test_subring_key_unsupported():
     ring = product_ring("Z4xZ4")
     sub = ring.subring_generated([(1, 1)])
@@ -493,6 +523,92 @@ def test_decomposition_witness_is_real(small_ring_ids):
             assert len(a) * len(b) == ring.order
             sums = {ring.add(p, q) for p in a for q in b}
             assert sums == set(ring.elements())
+
+
+# ---------------------------------------------------------------------------
+# differential: the block engine against the plain pair loops it replaced
+
+
+def loop_ideal_witness(ring):
+    zset = ring.zero_divisor_set()
+    zs = sorted(zset)
+    for i, x in enumerate(zs):
+        for y in zs[i:]:
+            if oracle_add(ring.spec.factors, x, y) not in zset:
+                return (x, y)
+    return None
+
+
+def loop_common_annihilator(ring):
+    zero = ring.zero
+    candidates = set(ring.elements())
+    for z in sorted(ring.zero_divisor_set()):
+        candidates = {r for r in candidates if ring.mul(r, z) == zero}
+        if candidates == {zero}:
+            break
+    return candidates
+
+
+def loop_decomposition(ring):
+    zero = ring.zero
+    classes = ring.annihilator_classes()
+    ann_sets = [
+        {r for r in ring.elements() if ring.mul(r, members[0]) == zero} for _, members in classes
+    ]
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            a, b = ann_sets[i], ann_sets[j]
+            if len(a) * len(b) == ring.order and a & b == {zero}:
+                return True, (classes[i][1][0], classes[j][1][0])
+    return False, None
+
+
+def differential_rings(small_ring_ids, generated_subrings):
+    return [product_ring(rid) for rid in small_ring_ids] + generated_subrings + [
+        product_ring("Z4096")
+    ]
+
+
+def test_engine_matches_pair_loops(small_ring_ids, generated_subrings):
+    for ring in differential_rings(small_ring_ids, generated_subrings):
+        assert ring.zero_divisor_ideal_witness() == loop_ideal_witness(ring), ring
+        assert ring.common_annihilator_of_zero_divisors() == loop_common_annihilator(ring), ring
+        assert ring.has_ann_direct_sum_decomposition() == loop_decomposition(ring), ring
+
+
+def test_subring_zero_divisors_and_classes_match_loops(generated_subrings):
+    for sub in generated_subrings:
+        zero = sub.zero
+        elems = sub.elements()
+        ann = {x: {r for r in elems if sub.mul(r, x) == zero} for x in elems}
+        assert sub.zero_divisor_set() == {x for x in elems if x == zero or len(ann[x]) >= 2}
+        groups = {}
+        for x in sorted(sub.zero_divisor_set() - {zero}):
+            groups.setdefault(frozenset(ann[x]), []).append(x)
+        expected = sorted(groups.values())
+        assert [members for _, members in sub.annihilator_classes()] == expected, sub
+        for x in elems:
+            assert sub.annihilator_set(x) == ann[x]
+
+
+def test_engine_memory_is_bounded():
+    """|Z(Z4096)| = 2048: an unblocked |Z|^2 int64 scan alone would need 32 MB."""
+    ring = product_ring("Z4096")
+    tracemalloc.start()
+    try:
+        assert ring.zero_divisor_ideal_witness() is None
+        assert ring.common_annihilator_of_zero_divisors() == {(0,), (2048,)}
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_annihilator_classes_cached_and_capped():
+    ring = product_ring("Z12")
+    assert ring.annihilator_classes() is ring.annihilator_classes()
+    with pytest.raises(CapExceededError):
+        ring.annihilator_classes(cap=10)
 
 
 # ---------------------------------------------------------------------------

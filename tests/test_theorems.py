@@ -125,6 +125,12 @@ def test_embedding_check_entry_point():
     assert check.passed
 
 
+def test_embedding_check_skip_reason():
+    check = embedding_check("Z256")
+    assert check.skipped and not check.applicable
+    assert check.reason == "order 256 above total cap 200"
+
+
 def test_diam3_three_vertices_complete():
     # 16 = 2^4 compresses to a triangle
     check = by_id(check_ring("Z16"), "T3.diam3")
@@ -184,6 +190,14 @@ def test_caps_from_env():
     with pytest.raises(ValueError):
         Caps.from_env({"IAGRAPH_CAPS": "bogus=1"})
     assert Caps.from_env({}) == Caps()
+
+
+def test_caps_must_be_positive_integers():
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(ValueError):
+            Caps(graph=bad)
+    with pytest.raises(ValueError):
+        Caps.from_env({"IAGRAPH_CAPS": "element=0"})
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +328,9 @@ def test_sweep_rejects_bad_config():
         SweepConfig(family="nope", max_n=10)
     with pytest.raises(ValueError):
         SweepConfig(family="zn", max_n=1)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            SweepConfig(family="zn", max_n=10, jobs=jobs)
 
 
 def test_enumerate_product_specs_deterministic_order():
