@@ -47,6 +47,7 @@ from .theorems import (
     CHECK_IDS,
     Caps,
     RingReport,
+    SelfCheckError,
     SweepAggregate,
     SweepConfig,
     TheoremCheck,
@@ -70,6 +71,7 @@ __all__ = [
     "RingReport",
     "RingSpec",
     "RingSpecError",
+    "SelfCheckError",
     "Subring",
     "SweepAggregate",
     "SweepConfig",

@@ -6,8 +6,10 @@ family), iso (compare two graphs).
 
 Exit status: 0 on success, 1 when a requested verification fails (a failed
 check, or a non-isomorphic pair under --expect iso), 2 on usage errors,
-malformed ring specs, caps or --jobs that are not positive, an unwritable
---out path, or cap violations.  Nothing is written to stdout on exit 2.
+malformed ring specs, caps that are not positive, --jobs outside 1..the CPU
+count, an unwritable --out path, or cap violations, and 3 when a sweep's
+periodic self-check finds the symbolic cache disagreeing with a rebuild.
+Nothing is written to stdout on exit 2 or 3.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .rings import (
 from .theorems import (
     CSV_HEADER,
     Caps,
+    SelfCheckError,
     SweepConfig,
     check_ring,
     report_csv_rows,
@@ -268,6 +271,9 @@ def main(argv=None) -> int:
     except (RingSpecError, CapExceededError, UnsupportedVariantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SelfCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,11 +9,11 @@ Three element-level graphs share one adjacency idea:
 * the total graph: vertices are all ring elements, x adjacent to y iff
   x + y is a zero-divisor.
 
-Two symbolic builders scale past element enumeration: the divisor form of
-the compressed graph of Z_n (vertices are the divisors strictly between 1
-and n, adjacency is gcd != 1) and the support-pattern form for products of
-integral domains (vertices are proper nonzero 0/1 support vectors,
-adjacency holds iff the union of supports misses some coordinate).
+Two symbolic builders scale past element enumeration, as label renderings
+of one valuation core: by CRT the classes of prod Z_{p_j^e_j} are the tuples
+0 <= v_j <= e_j other than all-0 and all-e, adjacent iff some v_j, w_j >= 1.
+The divisor form of Z_n labels v by prod p_j^v_j (adjacency is gcd != 1); a
+product of k integral domains (every e_j = 1) by its support pattern 1 - v.
 """
 
 from __future__ import annotations
@@ -204,6 +204,20 @@ def build_total(
 # symbolic builders
 
 
+def _valuation_graph(exponents, name) -> Graph:
+    """Compressed graph of prod Z_{p_j^e_j} on its valuation tuples, adjacency one
+    boolean outer product per coordinate.  Vertices are sorted by name(v), an int
+    or a str, and labeled str(name(v)); name must sort the all-0 and all-e tuples,
+    which are not vertices, first and last."""
+    named = sorted((name(v), v) for v in cartesian(*(range(e + 1) for e in exponents)))[1:-1]
+    tuples = np.array([v for _, v in named], dtype=np.int64).reshape(len(named), len(exponents))
+    adj = np.zeros((len(named), len(named)), dtype=bool)
+    for column in (tuples > 0).T:
+        adj |= np.logical_and.outer(column, column)
+    np.fill_diagonal(adj, False)
+    return Graph.from_neighbors([str(key) for key, _ in named], _neighbor_lists(adj))
+
+
 def build_ia_zn_symbolic(
     factorization: dict[int, int],
     vertex_cap: int = DEFAULT_GRAPH_VERTEX_CAP,
@@ -226,19 +240,10 @@ def build_ia_zn_symbolic(
         raise CapExceededError(
             f"{n_vertices} divisor vertices above graph cap {vertex_cap}"
         )
-    n = math.prod(p**e for p, e in factorization.items())
-    ds = [1]
-    for p, e in sorted(factorization.items()):
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    verts = sorted(d for d in ds if 1 < d < n)
-    gcd = math.gcd
-    edges = [
-        (i, j)
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if gcd(verts[i], verts[j]) != 1
-    ]
-    return Graph(labels=[str(d) for d in verts], edges=edges)
+    return _valuation_graph(
+        [factorization[p] for p in primes],
+        lambda v: math.prod(map(pow, primes, v)),
+    )
 
 
 def zn_symbolic_from_n(n: int, vertex_cap: int = DEFAULT_GRAPH_VERTEX_CAP) -> Graph:
@@ -263,15 +268,7 @@ def build_ia_domain_product(
     n_vertices = 2**k - 2
     if n_vertices > vertex_cap:
         raise CapExceededError(f"{n_vertices} vertices above graph cap {vertex_cap}")
-    verts = [v for v in cartesian((0, 1), repeat=k) if 0 < sum(v) < k]
-    verts.sort()
-    edges = [
-        (i, j)
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if any(a == 0 and b == 0 for a, b in zip(verts[i], verts[j]))
-    ]
-    return Graph(labels=["".join(map(str, v)) for v in verts], edges=edges)
+    return _valuation_graph([1] * k, lambda v: "".join("10"[i] for i in v))
 
 
 # ---------------------------------------------------------------------------

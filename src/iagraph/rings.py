@@ -44,6 +44,7 @@ import numpy as np
 DEFAULT_ELEMENT_CAP = 5000
 DEFAULT_PARSE_ORDER_CAP = 10**12
 _BLOCK_PAIRS = 4096  # most element pairs one engine block holds
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 Element = tuple[int, ...]
 AnnKey = tuple[int, ...]
@@ -272,7 +273,11 @@ class FiniteRing:
         """Codes of op(a_i, b_j) for rows a_i of a and b_j of b (np.add, np.multiply, ...)."""
         out = np.zeros((len(a), len(b)), dtype=np.int64)
         for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
-            out += op.outer(a[:, c], b[:, c]) % n * s
+            if (n - 1) ** 2 > _INT64_MAX:  # residue products overflow int64: use Python ints
+                residues = op.outer(a[:, c].astype(object), b[:, c].astype(object)) % n
+                out += residues.astype(np.int64) * s
+            else:
+                out += op.outer(a[:, c], b[:, c]) % n * s
         return out
 
     def _zero_rows(self, a: np.ndarray) -> np.ndarray:

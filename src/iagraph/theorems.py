@@ -13,12 +13,14 @@ its witness.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .graphs import Graph, build_ia, build_ia_zn_symbolic, build_torsion
 from .invariants import InvariantReport, diameter, invariants, is_isomorphic
@@ -179,68 +181,79 @@ CSV_HEADER = ["ring", "check_id", "applicable", "passed", "witness"]
 
 
 class _RingContext:
+    """Facts about one ring, computed at most once; check_ids are the checks it can run."""
+
+    check_ids = frozenset(CHECK_IDS)
+
     def __init__(self, ring: ProductRing, caps: Caps):
+        self.start_ns = time.perf_counter_ns()
         self.ring = ring
         self.caps = caps
-        self.spec = ring.spec
-        self._cache: dict[str, object] = {}
-
-    def _get(self, name: str, maker):
-        if name not in self._cache:
-            self._cache[name] = maker()
-        return self._cache[name]
+        self.factors = ring.spec.factors
+        self.ring_id = ring.spec.ring_id()
 
     # graph side -----------------------------------------------------------
-    @property
+    @cached_property
     def ia(self) -> Graph:
-        return self._get("ia", lambda: build_ia(self.ring, self.caps.element, self.caps.graph))
+        return build_ia(self.ring, self.caps.element, self.caps.graph)
 
-    @property
+    @cached_property
     def ia_inv(self) -> InvariantReport:
-        return self._get("ia_inv", lambda: invariants(self.ia))
+        return invariants(self.ia)
 
-    @property
+    @cached_property
     def torsion(self) -> Graph:
-        def make():
-            if self.ring.order > self.caps.torsion:
-                raise CapExceededError(
-                    f"order {self.ring.order} above torsion cap {self.caps.torsion}"
-                )
-            return build_torsion(self.ring, self.caps.element, self.caps.graph)
-
-        return self._get("torsion", make)
+        if self.ring.order > self.caps.torsion:
+            raise CapExceededError(
+                f"order {self.ring.order} above torsion cap {self.caps.torsion}"
+            )
+        return build_torsion(self.ring, self.caps.element, self.caps.graph)
 
     # ring side ------------------------------------------------------------
-    @property
+    @cached_property
     def z_ideal_witness(self):
-        return self._get(
-            "z_ideal_witness", lambda: self.ring.zero_divisor_ideal_witness(self.caps.element)
-        )
+        return self.ring.zero_divisor_ideal_witness(self.caps.element)
 
-    @property
+    @cached_property
     def z_ideal(self) -> bool:
         return self.z_ideal_witness is None
 
-    @property
+    @cached_property
     def reduced(self) -> bool:
         # fast-path specialization: Nil(R) is trivial iff every modulus is squarefree
-        return self._get(
-            "reduced", lambda: all(radical(n) == n for n in self.spec.factors)
-        )
+        return all(radical(n) == n for n in self.factors)
 
-    @property
+    @cached_property
     def common_ann_nonzero(self) -> bool:
-        return self._get(
-            "common_ann_nonzero",
-            lambda: len(self.ring.common_annihilator_of_zero_divisors(self.caps.element)) > 1,
-        )
+        return len(self.ring.common_annihilator_of_zero_divisors(self.caps.element)) > 1
 
-    @property
+    @cached_property
     def decomposition(self):
-        return self._get(
-            "decomposition",
-            lambda: self.ring.has_ann_direct_sum_decomposition(self.caps.element),
-        )
+        return self.ring.has_ann_direct_sum_decomposition(self.caps.element)
+
+
+class _ZnSymbolicContext(_RingContext):
+    """Z_n with element enumeration turned off: invariants of the divisor form, and
+    the closed form Z(Z_n) is an ideal iff n is a prime power, as plain attributes
+    (a sweep builds one per n); the ring is built on demand, for L4.gcd-adj."""
+
+    check_ids = frozenset(SYMBOLIC_CHECK_IDS)
+    ia_inv = z_ideal = None  # shadow the base cached_property: plain, faster reads
+
+    def __init__(self, n: int, caps: Caps):
+        self.start_ns = time.perf_counter_ns()
+        self.caps = caps
+        self.factors = (n,)
+        self.ring_id = f"Z{n}"
+        self.ia_inv = symbolic_invariants(n, caps)
+        self.z_ideal = len(factorize(n)) == 1
+
+    @cached_property
+    def ring(self) -> ProductRing:
+        n = self.factors[0]
+        if n > self.caps.element:
+            raise CapExceededError(f"order {n} above element cap {self.caps.element}")
+        return ProductRing(RingSpec(self.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +321,9 @@ def _check_subring(ctx: _RingContext) -> TheoremCheck:
     return TheoremCheck("T2.subring", applicable=True, passed=ok, witness=witness)
 
 
-def _check_no_kmn(ctx_or_inv) -> TheoremCheck:
+def _check_no_kmn(ctx: _RingContext) -> TheoremCheck:
     """The graph is never complete bipartite with both parts above 1."""
-    inv = ctx_or_inv.ia_inv if isinstance(ctx_or_inv, _RingContext) else ctx_or_inv
-    parts = inv.bipartite_parts
+    parts = ctx.ia_inv.bipartite_parts
     ok = parts is None or parts[0] == 1
     witness = None if ok else {"parts": list(parts)}
     return TheoremCheck("T2.no-Kmn", applicable=True, passed=ok, witness=witness)
@@ -357,21 +369,17 @@ def _check_vnr_or_nil(ctx: _RingContext) -> TheoremCheck:
     return TheoremCheck("T3.vnr-or-nil", applicable=True, passed=ok, witness=witness)
 
 
-def _girth_ok(inv: InvariantReport) -> bool:
-    return inv.girth is None or inv.girth == 3
-
-
-def _check_girth(ctx_or_inv) -> TheoremCheck:
+def _check_girth(ctx: _RingContext) -> TheoremCheck:
     """Girth is 3 or infinite, never anything else."""
-    inv = ctx_or_inv.ia_inv if isinstance(ctx_or_inv, _RingContext) else ctx_or_inv
-    ok = _girth_ok(inv)
+    inv = ctx.ia_inv
+    ok = inv.girth is None or inv.girth == 3
     witness = None if ok else {"girth": _num(inv.girth)}
     return TheoremCheck("T3.girth", applicable=True, passed=ok, witness=witness)
 
 
-def _check_diam3(ctx_or_inv) -> TheoremCheck:
+def _check_diam3(ctx: _RingContext) -> TheoremCheck:
     """More than 2 vertices: connected with diameter at most 3; exactly 3: complete."""
-    inv = ctx_or_inv.ia_inv if isinstance(ctx_or_inv, _RingContext) else ctx_or_inv
+    inv = ctx.ia_inv
     if inv.vertex_count <= 2:
         return TheoremCheck("T3.diam3", applicable=False, passed=None)
     ok = inv.connected and inv.diameter is not None and inv.diameter <= 3
@@ -388,20 +396,15 @@ def _check_diam3(ctx_or_inv) -> TheoremCheck:
     return TheoremCheck("T3.diam3", applicable=True, passed=ok, witness=witness)
 
 
-def _card2_verdict(inv: InvariantReport, z_ideal: bool) -> TheoremCheck:
+def _check_card2(ctx: _RingContext) -> TheoremCheck:
+    """Exactly 2 vertices: the single possible edge exists iff Z(R) is an ideal."""
+    inv = ctx.ia_inv
     if inv.vertex_count != 2:
         return TheoremCheck("T3.card2", applicable=False, passed=None)
     edge = inv.edge_count == 1
-    ok = edge == z_ideal
-    witness = None if ok else {"edge": edge, "z_ideal": z_ideal}
+    ok = edge == ctx.z_ideal
+    witness = None if ok else {"edge": edge, "z_ideal": ctx.z_ideal}
     return TheoremCheck("T3.card2", applicable=True, passed=ok, witness=witness)
-
-
-def _check_card2(ctx: _RingContext) -> TheoremCheck:
-    """Exactly 2 vertices: the single possible edge exists iff Z(R) is an ideal."""
-    if ctx.ia_inv.vertex_count != 2:
-        return TheoremCheck("T3.card2", applicable=False, passed=None)
-    return _card2_verdict(ctx.ia_inv, ctx.z_ideal)
 
 
 def _check_torsion_complete(ctx: _RingContext) -> TheoremCheck:
@@ -436,38 +439,40 @@ def _check_torsion_diam(ctx: _RingContext) -> TheoremCheck:
     return TheoremCheck("T3.torsion-diam", applicable=True, passed=ok, witness=witness)
 
 
-def _graphs_equal_by_labels(a: Graph, b: Graph) -> bool:
-    return set(a.labels) == set(b.labels) and a.edge_labels() == b.edge_labels()
-
-
 def _check_gcd_adj(ctx: _RingContext) -> TheoremCheck:
     """For Z_n the brute-force graph equals the divisor/gcd form, label for label."""
-    if ctx.spec.arity != 1:
+    if len(ctx.factors) != 1:
         return TheoremCheck("L4.gcd-adj", applicable=False, passed=None)
-    symbolic = build_ia_zn_symbolic(dict(factorize(ctx.spec.factors[0])), ctx.caps.graph)
-    ok = _graphs_equal_by_labels(ctx.ia, symbolic)
+    symbolic = build_ia_zn_symbolic(dict(factorize(ctx.factors[0])), ctx.caps.graph)
+    brute = ctx.ia
+    ok = set(brute.labels) == set(symbolic.labels) and brute.edge_labels() == symbolic.edge_labels()
     witness = None
     if not ok:
         witness = {
-            "brute_vertices": sorted(ctx.ia.labels),
+            "brute_vertices": sorted(brute.labels),
             "symbolic_vertices": sorted(symbolic.labels),
-            "brute_edges": sorted(sorted(e) for e in ctx.ia.edge_labels()),
+            "brute_edges": sorted(sorted(e) for e in brute.edge_labels()),
             "symbolic_edges": sorted(sorted(e) for e in symbolic.edge_labels()),
         }
     return TheoremCheck("L4.gcd-adj", applicable=True, passed=ok, witness=witness)
 
 
-def _three_primes_verdict(n: int, inv: InvariantReport) -> TheoremCheck:
-    fac = factorize(n)
+def _check_three_primes(ctx: _RingContext) -> TheoremCheck:
+    """Z_n with at least 3 prime factors (with multiplicity): connected,
+    diameter at most 2, girth 3; diameter exactly 2 given 2 distinct primes."""
+    if len(ctx.factors) != 1:
+        return TheoremCheck("L4.three-primes", applicable=False, passed=None)
+    n = ctx.factors[0]
     if big_omega(n) < 3:
         return TheoremCheck("L4.three-primes", applicable=False, passed=None)
+    inv = ctx.ia_inv
     ok = (
         inv.connected
         and inv.diameter is not None
         and inv.diameter <= 2
         and inv.girth == 3
     )
-    if len(fac) >= 2:  # at least two distinct primes: diameter exactly 2
+    if len(factorize(n)) >= 2:  # at least two distinct primes: diameter exactly 2
         ok = ok and inv.diameter == 2
     witness = None
     if not ok:
@@ -481,20 +486,9 @@ def _three_primes_verdict(n: int, inv: InvariantReport) -> TheoremCheck:
     return TheoremCheck("L4.three-primes", applicable=True, passed=ok, witness=witness)
 
 
-def _check_three_primes(ctx: _RingContext) -> TheoremCheck:
-    """Z_n with at least 3 prime factors (with multiplicity): connected,
-    diameter at most 2, girth 3; diameter exactly 2 given 2 distinct primes."""
-    if ctx.spec.arity != 1:
-        return TheoremCheck("L4.three-primes", applicable=False, passed=None)
-    n = ctx.spec.factors[0]
-    if big_omega(n) < 3:
-        return TheoremCheck("L4.three-primes", applicable=False, passed=None)
-    return _three_primes_verdict(n, ctx.ia_inv)
-
-
 def _check_two_domains(ctx: _RingContext) -> TheoremCheck:
     """A product of exactly two prime fields: two isolated vertices."""
-    fac = ctx.spec.factors
+    fac = ctx.factors
     if len(fac) != 2 or not all(is_prime(n) for n in fac):
         return TheoremCheck("T5.two-domains", applicable=False, passed=None)
     inv = ctx.ia_inv
@@ -507,7 +501,7 @@ def _check_two_domains(ctx: _RingContext) -> TheoremCheck:
 
 def _check_n_domains(ctx: _RingContext) -> TheoremCheck:
     """A product of more than two prime fields: connected, diameter 2, girth 3."""
-    fac = ctx.spec.factors
+    fac = ctx.factors
     if len(fac) <= 2 or not all(is_prime(n) for n in fac):
         return TheoremCheck("T5.n-domains", applicable=False, passed=None)
     inv = ctx.ia_inv
@@ -521,7 +515,7 @@ def _check_artinian_local(ctx: _RingContext) -> TheoremCheck:
     nilpotent whose annihilator is the maximal ideal): connected, diameter 2,
     girth 3.  Field factors are excluded; those products belong to the
     domain-product or mixed cases."""
-    fac = ctx.spec.factors
+    fac = ctx.factors
     if len(fac) < 2:
         return TheoremCheck("T5.artinian-local", applicable=False, passed=None)
     for n in fac:
@@ -536,7 +530,7 @@ def _check_artinian_local(ctx: _RingContext) -> TheoremCheck:
 def _check_mixed(ctx: _RingContext) -> TheoremCheck:
     """A product of two factors where at least one has a nonzero zero-divisor:
     connected, not complete, diameter at most 3, girth 3."""
-    fac = ctx.spec.factors
+    fac = ctx.factors
     if len(fac) != 2 or all(is_prime(n) for n in fac):
         return TheoremCheck("T5.mixed", applicable=False, passed=None)
     inv = ctx.ia_inv
@@ -588,36 +582,50 @@ _CHECK_FUNCS = {
 }
 
 
+class _CheckIds(tuple):
+    """Check ids already resolved and validated, so passing them on costs no rescan."""
+
+
 def resolve_check_ids(checks) -> tuple[str, ...]:
+    if type(checks) is _CheckIds:
+        return checks
     if checks in (None, "all") or checks == ("all",) or checks == ["all"]:
-        return CHECK_IDS
-    ids = tuple(checks)
+        return _CheckIds(CHECK_IDS)
+    ids = _CheckIds(checks)
     for cid in ids:
         if cid not in _CHECK_FUNCS:
             raise ValueError(f"unknown check id {cid!r}")
     return ids
 
 
+def _run_checks(ctx: _RingContext, ids) -> RingReport:
+    """Run the checks ids on one context; a check it cannot evaluate, or one
+    that would exceed a cap, is reported skipped with the reason."""
+    results = []
+    available = ctx.check_ids
+    for cid in ids:
+        reason = "" if cid in available else "not available in symbolic mode"
+        if not reason:
+            try:
+                results.append(_CHECK_FUNCS[cid](ctx))
+                continue
+            except CapExceededError as exc:
+                reason = str(exc)
+        results.append(
+            TheoremCheck(cid, applicable=False, passed=None, skipped=True, reason=reason)
+        )
+    elapsed = (time.perf_counter_ns() - ctx.start_ns) // 1_000_000
+    return RingReport(ring=ctx.ring_id, checks=results, timing_ms=int(elapsed))
+
+
 def check_ring(ring, checks="all", caps: Caps | None = None) -> RingReport:
     """Run the selected checks on one ring, brute-force mode."""
-    caps = caps or Caps()
     if isinstance(ring, str):
         ring = ProductRing(parse_ring_spec(ring))
     elif isinstance(ring, RingSpec):
         ring = ProductRing(ring)
     ids = resolve_check_ids(checks)
-    ctx = _RingContext(ring, caps)
-    start = time.perf_counter_ns()
-    results = []
-    for cid in ids:
-        try:
-            results.append(_CHECK_FUNCS[cid](ctx))
-        except CapExceededError as exc:
-            results.append(
-                TheoremCheck(cid, applicable=False, passed=None, skipped=True, reason=str(exc))
-            )
-    elapsed = (time.perf_counter_ns() - start) // 1_000_000
-    return RingReport(ring=ring.spec.ring_id(), checks=results, timing_ms=int(elapsed))
+    return _run_checks(_RingContext(ring, caps or Caps()), ids)
 
 
 def embedding_check(ring, caps: Caps | None = None) -> TheoremCheck:
@@ -632,75 +640,33 @@ def embedding_check(ring, caps: Caps | None = None) -> TheoremCheck:
 _SYMBOLIC_INV_CACHE: dict[tuple[int, ...], InvariantReport] = {}
 
 
-def _symbolic_signature(fac) -> tuple[int, ...]:
-    return tuple(sorted((e for _, e in fac), reverse=True))
-
-
-def symbolic_invariants(n: int, caps: Caps, use_cache: bool = True) -> InvariantReport:
+def symbolic_invariants(n: int, caps: Caps) -> InvariantReport:
     """Invariants of the divisor-form graph of Z_n.
 
     The divisor graph depends only on the multiset of exponents in the
     factorization of n (divisors correspond to exponent vectors and gcd
-    adjacency only reads those vectors), so results may be cached per
+    adjacency only reads those vectors), so results are cached per
     exponent signature.
     """
     fac = factorize(n)
-    sig = _symbolic_signature(fac)
-    if use_cache and sig in _SYMBOLIC_INV_CACHE:
-        return _SYMBOLIC_INV_CACHE[sig]
-    inv = invariants(build_ia_zn_symbolic(dict(fac), caps.graph))
-    _SYMBOLIC_INV_CACHE[sig] = inv
-    return inv
+    sig = tuple(sorted((e for _, e in fac), reverse=True))
+    if sig not in _SYMBOLIC_INV_CACHE:
+        _SYMBOLIC_INV_CACHE[sig] = invariants(build_ia_zn_symbolic(dict(fac), caps.graph))
+    return _SYMBOLIC_INV_CACHE[sig]
 
 
-def check_zn_symbolic(
-    n: int, checks="all", caps: Caps | None = None, use_cache: bool = True
-) -> RingReport:
+def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None) -> RingReport:
     """Run the symbolic-capable checks on Z_n without enumerating elements."""
-    caps = caps or Caps()
     ids = resolve_check_ids(checks)
-    inv = symbolic_invariants(n, caps, use_cache)
-    fac = factorize(n)
-    results = []
-    for cid in ids:
-        if cid not in SYMBOLIC_CHECK_IDS:
-            results.append(
-                TheoremCheck(
-                    cid,
-                    applicable=False,
-                    passed=None,
-                    skipped=True,
-                    reason="not available in symbolic mode",
-                )
-            )
-        elif cid == "T3.girth":
-            results.append(_check_girth(inv))
-        elif cid == "T3.diam3":
-            results.append(_check_diam3(inv))
-        elif cid == "T2.no-Kmn":
-            results.append(_check_no_kmn(inv))
-        elif cid == "L4.three-primes":
-            results.append(_three_primes_verdict(n, inv))
-        elif cid == "T3.card2":
-            # closed form: Z(Z_n) is an ideal exactly for prime powers
-            results.append(_card2_verdict(inv, z_ideal=len(fac) == 1))
-        elif n <= caps.element:  # L4.gcd-adj needs the brute side
-            results.append(check_ring(RingSpec((n,)), ["L4.gcd-adj"], caps).checks[0])
-        else:
-            results.append(
-                TheoremCheck(
-                    cid,
-                    applicable=False,
-                    passed=None,
-                    skipped=True,
-                    reason=f"order {n} above element cap {caps.element}",
-                )
-            )
-    return RingReport(ring=f"Z{n}", checks=results)
+    return _run_checks(_ZnSymbolicContext(n, caps or Caps()), ids)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
+
+
+class SelfCheckError(RuntimeError):
+    """A periodic self-check found a cached result disagreeing with its recomputation."""
 
 
 @dataclass
@@ -711,7 +677,6 @@ class SweepConfig:
     checks: tuple[str, ...] | str = "all"
     caps: Caps = field(default_factory=Caps)
     jobs: int = 1
-    use_cache: bool = True  # symbolic family only
 
     def __post_init__(self):
         if self.family not in ("zn", "zn-symbolic", "products", "domain-products"):
@@ -720,8 +685,10 @@ class SweepConfig:
             raise ValueError("sweep bound must be at least 2")
         if self.max_factors < 1:
             raise ValueError("max_factors must be at least 1")
-        if type(self.jobs) is not int or self.jobs < 1:
-            raise ValueError(f"jobs must be a positive integer, got {self.jobs!r}")
+        max_jobs = os.cpu_count() or 1
+        if type(self.jobs) is not int or not 1 <= self.jobs <= max_jobs:
+            raise ValueError(f"jobs must be an integer from 1 to {max_jobs}, got {self.jobs!r}")
+        self.checks = resolve_check_ids(self.checks)
 
 
 @dataclass
@@ -826,43 +793,39 @@ def _sweep_items(config: SweepConfig):
 
 
 def _run_item(item, config: SweepConfig) -> RingReport:
-    if config.family == "zn-symbolic":
-        report = check_zn_symbolic(item, config.checks, config.caps, config.use_cache)
-        # periodic cache validation: recompute directly and compare
-        if config.use_cache and item % 199 == 0:
-            fresh = check_zn_symbolic(item, config.checks, config.caps, use_cache=False)
-            if [c.to_json_dict() for c in fresh.checks] != [
-                c.to_json_dict() for c in report.checks
-            ]:
-                raise RuntimeError(f"symbolic cache mismatch at n={item}")
-        return report
-    return check_ring(item, config.checks, config.caps)
+    if config.family != "zn-symbolic":
+        return check_ring(item, config.checks, config.caps)
+    report = check_zn_symbolic(item, config.checks, config.caps)
+    # periodic cache validation: rebuild the divisor graph and compare
+    if item % 199 == 0:
+        fresh = invariants(build_ia_zn_symbolic(dict(factorize(item)), config.caps.graph))
+        if fresh != symbolic_invariants(item, config.caps):
+            raise SelfCheckError(f"symbolic cache mismatch at n={item}")
+    return report
 
 
 def sweep(config: SweepConfig, report_sink=None) -> SweepAggregate:
-    """Run the configured family; aggregate per-check outcomes deterministically."""
+    """Run the configured family; aggregate per-check outcomes deterministically.
+    With jobs > 1 the reports stream back from a pool in item order (imap)."""
     items = _sweep_items(config)
     start = time.perf_counter_ns()
-    ids = resolve_check_ids(config.checks)
-    stats = {cid: CheckStats() for cid in ids}
-
-    if config.jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(config.jobs) as pool:
-            reports = pool.starmap(
-                _run_item, [(item, config) for item in items], chunksize=64
-            )
-    else:
-        reports = (_run_item(item, config) for item in items)
+    stats = {cid: CheckStats() for cid in config.checks}
 
     count = 0
-    for report in reports:
-        count += 1
-        for check in report.checks:
-            stats[check.id].absorb(report.ring, check)
-        if report_sink is not None:
-            report_sink(report)
+    with contextlib.ExitStack() as stack:
+        if config.jobs > 1:
+            from multiprocessing import Pool
+
+            pool = stack.enter_context(Pool(config.jobs))
+            reports = pool.imap(partial(_run_item, config=config), items, chunksize=64)
+        else:
+            reports = (_run_item(item, config) for item in items)
+        for report in reports:
+            count += 1
+            for check in report.checks:
+                stats[check.id].absorb(report.ring, check)
+            if report_sink is not None:
+                report_sink(report)
     elapsed = (time.perf_counter_ns() - start) // 1_000_000
     return SweepAggregate(
         family=config.family, ring_count=count, stats=stats, elapsed_ms=int(elapsed)

@@ -1,10 +1,14 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
 from iagraph.cli import main
+from iagraph.graphs import build_ia_zn_symbolic
+from iagraph.invariants import invariants
+from iagraph.theorems import _SYMBOLIC_INV_CACHE
 
 
 def run_cli(capsys, *argv):
@@ -339,3 +343,21 @@ def test_nonpositive_jobs_rejected(capsys, jobs):
     assert code == 2
     assert out == ""
     assert "jobs" in err
+
+
+def test_jobs_above_cpu_count_rejected(capsys):
+    """Rejected while the config is built, before any worker process starts."""
+    jobs = str((os.cpu_count() or 1) + 1)
+    code, out, err = run_cli(capsys, "sweep", "--family", "zn", "--max", "10", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "jobs must be an integer from 1 to" in err
+
+
+def test_symbolic_cache_mismatch_exits_3(capsys, monkeypatch):
+    """The periodic recheck at n = 199 catches a poisoned cache entry for the primes."""
+    monkeypatch.setitem(_SYMBOLIC_INV_CACHE, (1,), invariants(build_ia_zn_symbolic({2: 2})))
+    code, out, err = run_cli(capsys, "sweep", "--family", "zn-symbolic", "--max", "199")
+    assert code == 3
+    assert out == ""
+    assert err == "error: symbolic cache mismatch at n=199\n"

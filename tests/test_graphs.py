@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from iagraph.graphs import (
     zn_symbolic_from_n,
 )
 from iagraph.invariants import is_isomorphic
-from iagraph.rings import CapExceededError, format_element, product_ring
+from iagraph.rings import CapExceededError, factorize, format_element, product_ring
 from iagraph.theorems import Caps, check_ring
 
 from conftest import oracle_add, oracle_annihilator, oracle_zero_divisors, ring_elements
@@ -289,6 +290,82 @@ def test_symbolic_equals_brute_small_range():
         brute = build_ia(product_ring(f"Z{n}"))
         assert set(sym.labels) == set(brute.labels), n
         assert sym.edge_labels() == brute.edge_labels(), n
+
+
+# The Python pair loops the two symbolic builders used before they became
+# label renderings of one valuation-tuple core, kept as references.
+
+
+def reference_zn_symbolic(factorization):
+    n = math.prod(p**e for p, e in factorization.items())
+    ds = [1]
+    for p, e in sorted(factorization.items()):
+        ds = [d * p**i for d in ds for i in range(e + 1)]
+    verts = sorted(d for d in ds if 1 < d < n)
+    edges = [
+        (i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+        if math.gcd(verts[i], verts[j]) != 1
+    ]
+    return [str(d) for d in verts], edges
+
+
+def reference_domain_product(k):
+    verts = sorted(v for v in itertools.product((0, 1), repeat=k) if 0 < sum(v) < k)
+    edges = [
+        (i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+        if any(a == 0 and b == 0 for a, b in zip(verts[i], verts[j]))
+    ]
+    return ["".join(map(str, v)) for v in verts], edges
+
+
+def assert_matches_reference(graph, reference):
+    labels, edges = reference
+    assert graph.labels == tuple(labels)
+    assert graph.edges() == edges
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_domain_product_matches_pair_loop(k):
+    assert_matches_reference(build_ia_domain_product(k), reference_domain_product(k))
+
+
+def test_zn_symbolic_matches_pair_loop():
+    for n in range(2, 3001):
+        fac = dict(factorize(n))
+        assert_matches_reference(build_ia_zn_symbolic(fac), reference_zn_symbolic(fac))
+    fac = {2: 5, 3: 3, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1}  # 766 divisor vertices
+    graph = build_ia_zn_symbolic(fac)
+    assert graph.vertex_count == 766
+    assert_matches_reference(graph, reference_zn_symbolic(fac))
+
+
+def test_zn_symbolic_matches_pair_loop_on_random_factorizations():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+    @st.composite
+    def factorizations(draw):
+        """At most 300 vertices: the divisor count tau(n) stays at most 302."""
+        fac, tau = {}, 1
+        for p in draw(st.lists(st.sampled_from(primes), min_size=1, max_size=6, unique=True)):
+            top = min(6, 302 // tau - 1)
+            if top < 1:
+                break
+            fac[p] = draw(st.integers(1, top))
+            tau *= fac[p] + 1
+        return fac
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(factorizations())
+    def check(fac):
+        assert_matches_reference(build_ia_zn_symbolic(fac), reference_zn_symbolic(fac))
+
+    check()
 
 
 def test_domain_product_k2():

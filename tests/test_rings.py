@@ -482,6 +482,18 @@ def test_small_subring_of_huge_parent():
         Subring(parent, frozenset({parent.zero, (1, 0)})).validate_closure()
 
 
+def test_subring_of_huge_modulus_multiplies_exactly():
+    """Residue products past int64 (modulus above about 3.04e9) stay exact."""
+    parent = product_ring("Z1000000000000")
+    x = (500000000000,)  # x * x = 25 * 10^22 = 0 mod 10^12
+    sub = Subring(parent, frozenset({parent.zero, x}))
+    sub.validate_closure()
+    assert sub.annihilator_set(x) == {parent.zero, x}
+    assert sub.zero_divisor_set() == {parent.zero, x}
+    with pytest.raises(ValueError, match="not closed under"):
+        Subring(parent, frozenset({parent.zero, (3,)})).validate_closure()
+
+
 def test_subring_key_unsupported():
     ring = product_ring("Z4xZ4")
     sub = ring.subring_generated([(1, 1)])

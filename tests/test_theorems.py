@@ -1,10 +1,15 @@
 """Harness behavior: per-check verdicts, sweeps, skips, determinism."""
 
 import json
+import os
 
 import pytest
 
+from iagraph.graphs import build_ia_zn_symbolic
+from iagraph.invariants import invariants
+from iagraph.rings import factorize
 from iagraph.theorems import (
+    _SYMBOLIC_INV_CACHE,
     CHECK_IDS,
     CSV_HEADER,
     Caps,
@@ -14,6 +19,7 @@ from iagraph.theorems import (
     embedding_check,
     enumerate_product_specs,
     report_csv_rows,
+    resolve_check_ids,
     sweep,
     symbolic_invariants,
 )
@@ -216,9 +222,17 @@ def test_symbolic_matches_brute_reports():
 
 def test_symbolic_cache_consistency():
     for n in (60, 90, 600, 2250, 44100):
-        cached = symbolic_invariants(n, Caps(), use_cache=True)
-        fresh = symbolic_invariants(n, Caps(), use_cache=False)
+        cached = symbolic_invariants(n, Caps())
+        fresh = invariants(build_ia_zn_symbolic(dict(factorize(n))))
         assert cached == fresh, n
+
+
+def test_symbolic_reports_carry_timing(monkeypatch):
+    """A cold cache entry (766 divisor vertices) is built inside the timed span."""
+    monkeypatch.delitem(_SYMBOLIC_INV_CACHE, (5, 3, 1, 1, 1, 1, 1), raising=False)
+    report = check_zn_symbolic(2**5 * 3**3 * 5 * 7 * 11 * 13 * 17, ("T3.girth",))
+    assert report.ring == "Z73513440"
+    assert report.to_json_dict()["timing_ms"] == report.timing_ms > 0
 
 
 def test_symbolic_unavailable_checks_are_skipped():
@@ -328,9 +342,18 @@ def test_sweep_rejects_bad_config():
         SweepConfig(family="nope", max_n=10)
     with pytest.raises(ValueError):
         SweepConfig(family="zn", max_n=1)
-    for jobs in (0, -3):
-        with pytest.raises(ValueError):
+    for jobs in (0, -3, (os.cpu_count() or 1) + 1, 2.0):
+        with pytest.raises(ValueError, match="jobs"):
             SweepConfig(family="zn", max_n=10, jobs=jobs)
+    with pytest.raises(ValueError, match="unknown check id"):
+        SweepConfig(family="zn", max_n=10, checks=("T9.nope",))
+
+
+def test_sweep_config_resolves_check_ids_once():
+    assert SweepConfig(family="zn", max_n=10).checks == CHECK_IDS
+    config = SweepConfig(family="zn", max_n=10, checks=["T3.girth"])
+    assert config.checks == ("T3.girth",)
+    assert resolve_check_ids(config.checks) is config.checks  # passed on without a rescan
 
 
 def test_enumerate_product_specs_deterministic_order():
