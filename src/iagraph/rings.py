@@ -6,19 +6,27 @@ residues, one coordinate per factor, and all arithmetic is coordinate-wise
 and exact.
 
 Element-level questions (is x.y = 0? is x + y in Z(R)? does ann(x) meet
-ann(y) beyond 0?) go through one brute-force engine on ``FiniteRing``:
+ann(y) beyond 0? which subring do these elements generate?) go through one
+brute-force engine on ``FiniteRing``:
 
 * ``_matrix``: the elements as a cached order x arity int64 matrix;
 * one mixed-radix code, sum of x_i * n_{i+1} * ... * n_k, for elements and
-  for op(a_i, b_j) over pairs.  Codes ascend with elements(), so membership
-  is a binary search in the sorted codes of the members or of Z(R), and
-  costs nothing that grows with a subring's parent;
+  for op(a_i, b_j) over pairs; ``_rows`` decodes codes back to elements.
+  Codes ascend with elements(), and membership is ``np.isin`` on sorted
+  codes, which picks a lookup table or a sort from the sizes, so a
+  subring's scans cost nothing that grows with its parent;
 * zero-product rows for any list of elements, and the "x + y outside Z(R)"
   scan, built in blocks of at most ``_BLOCK_PAIRS`` pairs, so memory stays
   bounded and a scan stops at its first hit.  The full order x order
   zero-product matrix is cached only where every row is needed, for a
   subring's Z(R) mask and class codes; ``annihilator_set`` reads it there and
   computes its one row elsewhere;
+* generated subrings on sorted code arrays: the additive subgroup grows by
+  the cosets of each generator's multiples, and products of the generators
+  that grew it are the next generators, until none falls outside;
+* ``Subring.validate_closure``, one blocked scan per operation, whose *
+  blocks also fill the subring's zero-product matrix, so the graph built on
+  a validated subring scans no pair twice;
 * the annihilator classes of Z*(R), grouped once by a 1-D class code and
   cached on the ring.
 
@@ -179,12 +187,6 @@ def format_element(x: Element) -> str:
 # rings
 
 
-def _member(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Boolean per code: whether it occurs in the ascending, non-empty sorted_codes."""
-    at = np.searchsorted(sorted_codes, codes).clip(max=len(sorted_codes) - 1)
-    return sorted_codes[at] == codes
-
-
 def _blocks(count: int, width: int):
     """Slices of range(count) whose rows hold at most _BLOCK_PAIRS pairs of `width` columns."""
     step = max(1, _BLOCK_PAIRS // max(1, width))
@@ -272,13 +274,20 @@ class FiniteRing:
     def _pair_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Codes of op(a_i, b_j) for rows a_i of a and b_j of b (np.add, np.multiply, ...)."""
         out = np.zeros((len(a), len(b)), dtype=np.int64)
+        residues = np.empty_like(out)
         for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
             if (n - 1) ** 2 > _INT64_MAX:  # residue products overflow int64: use Python ints
-                residues = op.outer(a[:, c].astype(object), b[:, c].astype(object)) % n
-                out += residues.astype(np.int64) * s
+                residues[...] = op.outer(a[:, c].astype(object), b[:, c].astype(object)) % n
             else:
-                out += op.outer(a[:, c], b[:, c]) % n * s
+                op.outer(a[:, c], b[:, c], out=residues)
+                residues %= n
+            residues *= s
+            out += residues
         return out
+
+    def _rows(self, codes: np.ndarray) -> np.ndarray:
+        """Element rows of codes, the inverse of the code map."""
+        return codes[:, None] // np.array(self._strides) % np.array(self.spec.factors)
 
     def _zero_rows(self, a: np.ndarray) -> np.ndarray:
         """Boolean rows: [i, j] iff a_i * e_j = 0, for the element rows a."""
@@ -299,7 +308,7 @@ class FiniteRing:
         b = a if ys is xs else self._as_matrix(ys)
         for rows in _blocks(len(a), len(b)):
             sums = self._pair_codes(np.add, a[rows], b)
-            yield rows.start, _member(self._zero_divisor_codes, sums)
+            yield rows.start, np.isin(sums, self._zero_divisor_codes)
 
     def first_sum_outside_zero_divisors(self, xs, ys) -> tuple[Element, Element] | None:
         """The first (xs[i], ys[j]) in row-major order with a sum outside Z(R), or None."""
@@ -408,44 +417,46 @@ class FiniteRing:
     ) -> "Subring":
         """Least subset containing gens (and 1 if asked) closed under +, *, -.
 
-        Fixpoint construction: additive subgroup closure first, then
-        alternate with multiplicative closure until stable.
+        The members are the additive subgroup the generators span, grown on
+        sorted codes: a generator outside it adds its multiples k.g up to the
+        first one already inside, whose cosets are then disjoint.  Products
+        distribute over sums, so the subgroup is closed under * once the
+        products of the generators that grew it lie inside; those outside
+        are the next round's generators.
         """
         self.elements(cap)  # enforce the cap before any closure work
         gens = list(gens)
         for g in gens:
             if not self.contains(g):
                 raise ValueError(f"generator {g} is not a ring member")
-        seed = set(gens)
-        seed.add(self.zero)
-        if include_one:
-            seed.add(self.one)
-
-        members = self._additive_closure(seed)
-        full = self.order
-        while len(members) < full:
-            products = {self.mul(a, b) for a in members for b in members}
-            if products <= members:
-                break
-            members = self._additive_closure(members | products)
-        if len(members) == full:
-            members = set(self.elements(cap))
-        parent = self.parent_product()
-        return Subring(parent, frozenset(members))
-
-    def _additive_closure(self, seed: set[Element]) -> set[Element]:
-        group: set[Element] = {self.zero}
-        for g in seed:
-            if g in group:
-                continue
-            # expand by cosets of the current subgroup
-            shifted = list(group)
-            x = g
-            while x not in group:
-                layer = [self.add(x, s) for s in shifted]
-                group.update(layer)
-                x = self.add(x, g)
-        return group
+        mods, strides = np.array(self.spec.factors), np.array(self._strides)
+        group = np.zeros(1, dtype=np.int64)  # sorted codes of the subgroup so far
+        basis = []  # the generators that grew it
+        todo = self._as_matrix(gens + [self.one] * include_one)
+        while len(todo):
+            for g in todo:
+                code = g @ strides
+                at = group.searchsorted(code)
+                if at < len(group) and group[at] == code:
+                    continue
+                order = int(np.lcm.reduce(mods // np.gcd(g, mods)))  # additive order of g
+                ks = np.arange(order)[:, None] % mods
+                multiples = self._pair_codes(np.multiply, ks, g[None])[:, 0]
+                inside = np.isin(multiples[1:], group)
+                index = int(inside.argmax()) + 1 if inside.any() else order
+                group = np.sort(
+                    self._pair_codes(np.add, self._rows(group), self._rows(multiples[:index])),
+                    axis=None,
+                )
+                basis.append(g)
+            basis_rows = self._as_matrix(basis)
+            products = self._pair_codes(np.multiply, basis_rows, basis_rows)
+            todo = self._rows(products[~np.isin(products, group)])
+        if len(group) == self.order:
+            members = frozenset(self.elements(cap))
+        else:
+            members = frozenset(map(tuple, self._rows(group).tolist()))
+        return Subring(self.parent_product(), members)
 
     def has_ann_direct_sum_decomposition(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
@@ -601,11 +612,19 @@ class Subring(FiniteRing):
         self.members = members
         if parent.zero not in members:
             raise ValueError("subring must contain 0")
-        for x in members:
-            if not parent.contains(x):
-                raise ValueError(f"{x} is outside the parent ring")
+        self._element_cache = tuple(sorted(members))
+        try:
+            mat = parent._as_matrix(self._element_cache)
+            inside = bool(((mat >= 0) & (mat < np.array(parent.mods))).all())
+        except (ValueError, OverflowError):  # mixed arities, or a coordinate past int64
+            inside = False
+        if inside:
+            self._matrix = mat
+        else:
+            for x in self._element_cache:
+                if not parent.contains(x):
+                    raise ValueError(f"{x} is outside the parent ring")
         self.has_one = parent.one in members
-        self._element_cache: tuple[Element, ...] | None = None
 
     def __repr__(self) -> str:
         return f"Subring({self.spec.ring_id()}, {len(self.members)} members)"
@@ -620,8 +639,6 @@ class Subring(FiniteRing):
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
         if cap is not None and self.order > cap:
             raise CapExceededError(f"subring order {self.order} above the cap {cap}")
-        if self._element_cache is None:
-            self._element_cache = tuple(sorted(self.members))
         return self._element_cache
 
     def contains(self, x: Element) -> bool:
@@ -646,13 +663,19 @@ class Subring(FiniteRing):
         return self.parent.neg(x)
 
     def validate_closure(self) -> None:
-        """Raise ValueError unless the members are closed under +, * and additive inverse."""
+        """Raise ValueError unless the members are closed under +, * and additive
+        inverse.  The * scan also fills the cached zero-product matrix."""
         mat = self._matrix
         zero = mat[:1]  # elements()[0] is 0, and -x = 0 - x
+        zero_products = np.empty((len(mat), len(mat)), dtype=bool)
         for name, op, a in (("+", np.add, mat), ("*", np.multiply, mat), ("-", np.subtract, zero)):
             for rows in _blocks(len(a), len(mat)):
-                if not _member(self._codes, self._pair_codes(op, a[rows], mat)).all():
+                codes = self._pair_codes(op, a[rows], mat)
+                if not np.isin(codes, self._codes).all():
                     raise ValueError(f"subring not closed under {name}")
+                if op is np.multiply:
+                    zero_products[rows] = codes == 0
+        self._zero_product_matrix = zero_products
 
     def annihilator_key(self, x: Element):
         raise UnsupportedVariantError(

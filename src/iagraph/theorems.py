@@ -22,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
+import numpy as np
+
 from .graphs import Graph, build_ia, build_ia_zn_symbolic, build_torsion
 from .invariants import InvariantReport, diameter, invariants, is_isomorphic
 from .rings import (
@@ -232,6 +234,17 @@ class _RingContext:
         return self.ring.has_ann_direct_sum_decomposition(self.caps.element)
 
 
+class _OverCap:
+    """Stands in for a value a cap kept from being computed: reading any of its
+    fields raises the cap error, inside the check that reads it."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __getattr__(self, name):
+        raise CapExceededError(self.reason)
+
+
 class _ZnSymbolicContext(_RingContext):
     """Z_n with element enumeration turned off: invariants of the divisor form, and
     the closed form Z(Z_n) is an ideal iff n is a prime power, as plain attributes
@@ -245,7 +258,10 @@ class _ZnSymbolicContext(_RingContext):
         self.caps = caps
         self.factors = (n,)
         self.ring_id = f"Z{n}"
-        self.ia_inv = symbolic_invariants(n, caps)
+        try:
+            self.ia_inv = symbolic_invariants(n, caps)
+        except CapExceededError as exc:
+            self.ia_inv = _OverCap(str(exc))
         self.z_ideal = len(factorize(n)) == 1
 
     @cached_property
@@ -339,21 +355,33 @@ def _check_embed(ctx: _RingContext) -> TheoremCheck:
         return TheoremCheck(
             "T2.embed", applicable=True, passed=True, reason="no edges (vacuous)"
         )
-    for i, j in edges:
-        pair = ctx.ring.first_sum_outside_zero_divisors(raw[i][1], raw[j][1])
-        if pair is not None:
-            x, y = pair
-            return TheoremCheck(
-                "T2.embed",
-                applicable=True,
-                passed=False,
-                witness={
-                    "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
-                    "members": [format_element(x), format_element(y)],
-                    "sum": format_element(ctx.ring.add(x, y)),
-                },
-            )
-    return TheoremCheck("T2.embed", applicable=True, passed=True)
+    # One scan of Z*(R) x Z*(R) in class order.  A hit is a sum outside Z(R) on an
+    # edge (i, j), i < j; the least (i, j, position of x, position of y) is the
+    # first hit of the loop over edges() and the members of each class.
+    on_edge = np.zeros((len(raw), len(raw)), dtype=bool)
+    on_edge[tuple(np.array(edges).T)] = True
+    members = [x for _, xs in raw for x in xs]
+    cls = np.repeat(np.arange(len(raw)), [len(xs) for _, xs in raw])
+    firsts = []
+    for start, block in ctx.ring.zero_divisor_sum_blocks(members, members):
+        rows, cols = np.nonzero(~block & on_edge[np.ix_(cls[start : start + len(block)], cls)])
+        hits = np.stack([cls[rows + start], cls[cols], rows + start, cols])
+        firsts.append(hits[:, np.lexsort(hits[::-1])[:1]])
+    firsts = np.concatenate(firsts, axis=1)
+    if not firsts.shape[1]:
+        return TheoremCheck("T2.embed", applicable=True, passed=True)
+    i, j, p, q = firsts[:, np.lexsort(firsts[::-1])[0]].tolist()
+    x, y = members[p], members[q]
+    return TheoremCheck(
+        "T2.embed",
+        applicable=True,
+        passed=False,
+        witness={
+            "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
+            "members": [format_element(x), format_element(y)],
+            "sum": format_element(ctx.ring.add(x, y)),
+        },
+    )
 
 
 def _check_vnr_or_nil(ctx: _RingContext) -> TheoremCheck:
@@ -650,9 +678,14 @@ def symbolic_invariants(n: int, caps: Caps) -> InvariantReport:
     """
     fac = factorize(n)
     sig = tuple(sorted((e for _, e in fac), reverse=True))
-    if sig not in _SYMBOLIC_INV_CACHE:
-        _SYMBOLIC_INV_CACHE[sig] = invariants(build_ia_zn_symbolic(dict(fac), caps.graph))
-    return _SYMBOLIC_INV_CACHE[sig]
+    report = _SYMBOLIC_INV_CACHE.get(sig)
+    if report is None:  # the build checks the cap first
+        report = _SYMBOLIC_INV_CACHE[sig] = invariants(build_ia_zn_symbolic(dict(fac), caps.graph))
+    elif report.vertex_count > caps.graph:  # an entry built under a larger cap
+        raise CapExceededError(
+            f"{report.vertex_count} divisor vertices above graph cap {caps.graph}"
+        )
+    return report
 
 
 def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None) -> RingReport:
@@ -798,9 +831,10 @@ def _run_item(item, config: SweepConfig) -> RingReport:
     report = check_zn_symbolic(item, config.checks, config.caps)
     # periodic cache validation: rebuild the divisor graph and compare
     if item % 199 == 0:
-        fresh = invariants(build_ia_zn_symbolic(dict(factorize(item)), config.caps.graph))
-        if fresh != symbolic_invariants(item, config.caps):
-            raise SelfCheckError(f"symbolic cache mismatch at n={item}")
+        with contextlib.suppress(CapExceededError):  # over the graph cap: nothing cached
+            fresh = invariants(build_ia_zn_symbolic(dict(factorize(item)), config.caps.graph))
+            if fresh != symbolic_invariants(item, config.caps):
+                raise SelfCheckError(f"symbolic cache mismatch at n={item}")
     return report
 
 

@@ -214,6 +214,17 @@ def test_sweep_symbolic_family(capsys):
     assert json.loads(out)["ring_count"] == 499
 
 
+def test_sweep_symbolic_graph_cap_skips_like_zn(capsys):
+    """Over the graph cap both Z_n families skip the ring; neither aborts."""
+    for family in ("zn-symbolic", "zn"):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", family, "--max", "100",
+            "--graph-cap", "2", "--checks", "T3.girth",
+        )
+        assert code == 0, family
+        assert json.loads(out)["checks"]["T3.girth"]["skipped"] == 38, family
+
+
 def test_sweep_products_family(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--family", "products", "--max", "60",

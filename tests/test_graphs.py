@@ -21,7 +21,7 @@ from iagraph.graphs import (
 )
 from iagraph.invariants import is_isomorphic
 from iagraph.rings import CapExceededError, factorize, format_element, product_ring
-from iagraph.theorems import Caps, check_ring
+from iagraph.theorems import Caps, _RingContext, _run_checks, check_ring
 
 from conftest import oracle_add, oracle_annihilator, oracle_zero_divisors, ring_elements
 
@@ -476,9 +476,10 @@ def loop_first_sum_outside(ring, xs, ys):
     return None
 
 
-def loop_embed_witness(ring):
-    """The T2.embed triple loop over compressed edges and class members."""
-    g = build_ia(ring)
+def loop_embed_witness(ring, g=None):
+    """The T2.embed triple loop over the edges of g (the compressed graph by
+    default) and the members of their classes."""
+    g = build_ia(ring) if g is None else g
     raw = ring.annihilator_classes()
     for i, j in g.edges():
         pair = loop_first_sum_outside(ring, raw[i][1], raw[j][1])
@@ -515,6 +516,34 @@ def test_embed_check_matches_triple_loop(small_ring_ids, generated_subrings):
     for ring in rings + [product_ring("Z4096")]:
         check = check_ring(ring, ("T2.embed",), caps).checks[0]
         assert check.witness == loop_embed_witness(ring), ring
+
+
+@pytest.mark.parametrize("block_pairs", [None, 50])
+def test_embed_witness_matches_loop_on_forced_graphs(
+    small_ring_ids, generated_subrings, block_pairs, monkeypatch
+):
+    """No real ring fails T2.embed, so the check runs on other graphs over the
+    same classes: the complete graph, then that graph less each witness edge in
+    turn, so that witnesses occur on later and later edges.  Blocks of 50 pairs
+    split the scan inside classes, so hits from many blocks are compared."""
+    if block_pairs:
+        monkeypatch.setattr("iagraph.rings._BLOCK_PAIRS", block_pairs)
+    caps = Caps(total=4096)
+    rings = [product_ring(rid) for rid in small_ring_ids] + generated_subrings
+    witnesses = 0
+    for ring in rings + [product_ring("Z4096")]:
+        ia = build_ia(ring)
+        edges = list(itertools.combinations(range(ia.vertex_count), 2))
+        while True:
+            ctx = _RingContext(ring, caps)
+            ctx.ia = Graph(ia.labels, edges, ia.class_sizes)
+            witness = _run_checks(ctx, ("T2.embed",)).checks[0].witness
+            assert witness == loop_embed_witness(ring, ctx.ia), (ring, edges)
+            if witness is None:
+                break
+            witnesses += 1
+            edges.remove(tuple(ia.index(label) for label in witness["edge"]))
+    assert witnesses >= 100, witnesses
 
 
 # ---------------------------------------------------------------------------

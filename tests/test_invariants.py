@@ -1,5 +1,6 @@
 """Invariant engine: distances, girth, complete-bipartite detection, isomorphism."""
 
+import itertools
 import random
 
 import pytest
@@ -266,3 +267,53 @@ def test_empty_graphs_isomorphic():
     a = build_ia(product_ring("Z7"))
     b = build_ia(product_ring("Z11"))
     assert is_isomorphic(a, b) == (True, {})
+
+
+def test_invariants_match_networkx_on_random_graphs():
+    """diameter, girth and is_isomorphic against networkx on graphs of at most 40
+    vertices: a relabelled copy is isomorphic; with one edge moved, the verdicts agree."""
+    hypothesis = pytest.importorskip("hypothesis")
+    nx = pytest.importorskip("networkx")
+    st = hypothesis.strategies
+
+    def reference(n, edges):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edges)
+        return graph
+
+    # derandomized: networkx's search is exponential on some pairs, so the
+    # examples are fixed ones it is known to finish
+    @hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(
+        st.integers(1, 40),
+        st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.6, 0.95]),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(n, density, seed):
+        rng = random.Random(seed)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [p for p in pairs if rng.random() < density]
+        g, ref = Graph([str(i) for i in range(n)], edges), reference(n, edges)
+        assert diameter(g) == (nx.diameter(ref) if nx.is_connected(ref) else None)
+        assert girth(g) == (None if nx.girth(ref) == float("inf") else nx.girth(ref))
+
+        perm = rng.sample(range(n), n)
+        relabelled = Graph([f"v{perm[i]}" for i in range(n)], edges)
+        ok, mapping = is_isomorphic(g, relabelled)
+        assert ok and sorted(mapping.values()) == sorted(relabelled.labels)
+        image = {frozenset((mapping[str(i)], mapping[str(j)])) for i, j in edges}
+        assert image == relabelled.edge_labels()
+
+        absent = sorted(set(pairs) - set(edges))
+        if edges and absent:
+            dropped = rng.choice(edges)
+            moved = [e for e in edges if e != dropped] + [rng.choice(absent)]
+            # VF2++ is fast on the sparser side: compare complements
+            # of dense graphs, which are isomorphic iff the graphs are
+            side = nx.complement if 2 * len(edges) > len(pairs) else lambda graph: graph
+            expected = nx.vf2pp_is_isomorphic(side(ref), side(reference(n, moved)))
+            verdict, _ = is_isomorphic(g, Graph(g.labels, moved))
+            assert verdict == expected
+
+    check()

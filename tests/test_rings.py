@@ -603,6 +603,99 @@ def test_subring_zero_divisors_and_classes_match_loops(generated_subrings):
             assert sub.annihilator_set(x) == ann[x]
 
 
+def loop_subring_members(ring, gens, include_one=False):
+    """The +/* fixpoint generation used to run: the additive closure, grown by
+    cosets of each seed, alternated with all pairwise products until stable."""
+    mods, zero = ring.spec.factors, ring.zero
+
+    def additive_closure(seed):
+        group = {zero}
+        for g in seed:
+            shifted, x = list(group), g
+            while x not in group:
+                group.update(oracle_add(mods, x, s) for s in shifted)
+                x = oracle_add(mods, x, g)
+        return group
+
+    members = additive_closure(set(gens) | ({ring.one} if include_one else set()))
+    while len(members) < ring.order:
+        products = {oracle_mul(mods, a, b) for a in members for b in members}
+        if products <= members:
+            break
+        members = additive_closure(members | products)
+    return members
+
+
+def loop_is_closed(mods, members):
+    """Closure under +, * and additive inverse, pair by pair."""
+    return all(
+        oracle_add(mods, x, y) in members and oracle_mul(mods, x, y) in members
+        for x in members
+        for y in members
+    ) and all(tuple(-a % n for a, n in zip(x, mods)) in members for x in members)
+
+
+def test_subring_generation_matches_fixpoint_on_random_rings():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        """A product spec of order at most 120, generators and whether 1 joins."""
+        mods, order = [], 1
+        for _ in range(draw(st.integers(1, 4))):
+            if order * 2 > 120:
+                break
+            mods.append(draw(st.integers(2, 120 // order)))
+            order *= mods[-1]
+        elems = ring_elements(mods)
+        gens = draw(st.lists(st.sampled_from(elems), max_size=4))
+        return tuple(mods), gens, draw(st.booleans())
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        mods, gens, include_one = case
+        ring = ProductRing(RingSpec(mods))
+        sub = ring.subring_generated(gens, include_one=include_one)
+        assert set(sub.members) == loop_subring_members(ring, gens, include_one)
+        sub.validate_closure()
+
+    check()
+
+
+def test_validate_closure_matches_loop_on_random_sets():
+    """Closed sets (generated subrings) and arbitrary sets with 0, which are mostly not."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        mods = draw(st.sampled_from([(12,), (16,), (2, 4), (2, 2, 2), (3, 6), (4, 4), (9,)]))
+        ring = ProductRing(RingSpec(mods))
+        elems = ring.elements()
+        members = set(draw(st.lists(st.sampled_from(elems), max_size=10)))
+        if draw(st.booleans()):
+            members = set(ring.subring_generated(members).members)
+        return ring, frozenset(members | {ring.zero})
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        ring, members = case
+        sub = Subring(ring, members)
+        if loop_is_closed(ring.spec.factors, members):
+            sub.validate_closure()  # also fills the zero-product rows annihilator_set reads
+            for x in members:
+                ann = {y for y in members if oracle_mul(ring.spec.factors, x, y) == ring.zero}
+                assert sub.annihilator_set(x) == ann
+        else:
+            with pytest.raises(ValueError, match="not closed under"):
+                sub.validate_closure()
+
+    check()
+
+
 def test_engine_memory_is_bounded():
     """|Z(Z4096)| = 2048: an unblocked |Z|^2 int64 scan alone would need 32 MB."""
     ring = product_ring("Z4096")

@@ -251,6 +251,29 @@ def test_symbolic_gcd_adj_runs_below_cap_and_skips_above():
     assert check.skipped and "element cap" in check.reason
 
 
+def test_symbolic_graph_cap_is_a_skip_cold_and_cached(monkeypatch):
+    """720 = 2^4 3^2 5 has 28 divisor vertices.  Over the graph cap the check is
+    skipped, whether the signature is cold or cached under the default cap."""
+    monkeypatch.delitem(_SYMBOLIC_INV_CACHE, (4, 2, 1), raising=False)
+    for caps in (Caps(graph=4), Caps(), Caps(graph=4)):
+        check = by_id(check_zn_symbolic(720, ("T3.girth",), caps), "T3.girth")
+        if caps.graph == 4:
+            assert check.skipped, check
+            assert check.reason == "28 divisor vertices above graph cap 4"
+        else:
+            assert check.passed and (4, 2, 1) in _SYMBOLIC_INV_CACHE
+
+
+def test_symbolic_sweep_over_graph_cap_rechecks_nothing():
+    """796 = 4 * 199 is due for the periodic recheck; over the cap it is a skip."""
+    agg = sweep(
+        SweepConfig(family="zn-symbolic", max_n=800, checks=("T3.girth",), caps=Caps(graph=2))
+    )
+    stats = agg.stats["T3.girth"]
+    assert stats.skipped + stats.passed + stats.failed + stats.inapplicable == 799
+    assert stats.skip_reasons["4 divisor vertices above graph cap 2"] > 0
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -314,6 +337,7 @@ def test_sweep_determinism():
     assert a == b
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="jobs=2 needs at least 2 CPUs")
 def test_sweep_parallel_matches_serial():
     checks = ("T2.goldie", "T3.diam3")
     serial = sweep(SweepConfig(family="zn", max_n=50, checks=checks, jobs=1)).to_json_dict()
