@@ -6,10 +6,12 @@ family), iso (compare two graphs).
 
 Exit status: 0 on success, 1 when a requested verification fails (a failed
 check, or a non-isomorphic pair under --expect iso), 2 on usage errors,
-malformed ring specs, caps that are not positive, --jobs outside 1..the CPU
-count, an unwritable --out path, or cap violations, and 3 when a sweep's
-periodic self-check finds the symbolic cache disagreeing with a rebuild.
-Nothing is written to stdout on exit 2 or 3.
+malformed ring specs, an empty check selection, caps that are not positive,
+--jobs outside 1..the CPU count, an unwritable --out path, or cap
+violations, and 3 when a self-check finds the signature cache or a closed
+form disagreeing with a recomputation.  Nothing is written to stdout on
+exit 2 or 3.  A sweep that visited no rings, or skipped every check on
+every ring, prints a one-line warning on stderr; its exit status stays.
 """
 
 from __future__ import annotations
@@ -154,10 +156,8 @@ def _split_checks(text: str):
 
 def _cmd_sweep(args) -> int:
     caps = _caps_from_args(args)
-    family = {"zn": "zn", "zn-symbolic": "zn-symbolic", "products": "products",
-              "domain-products": "domain-products"}[args.family]
     config = SweepConfig(
-        family=family,
+        family=args.family,
         max_n=args.max,
         max_factors=args.max_factors,
         checks=_split_checks(args.checks),
@@ -177,6 +177,10 @@ def _cmd_sweep(args) -> int:
         _emit(buf.getvalue(), args.out)
     else:
         _emit(json.dumps(aggregate.to_json_dict(), indent=2) + "\n", args.out)
+    if not aggregate.ring_count:
+        print("warning: the sweep visited no rings", file=sys.stderr)
+    elif all(s.skipped == aggregate.ring_count for s in aggregate.stats.values()):
+        print("warning: every check was skipped on every ring", file=sys.stderr)
     return 1 if aggregate.total_failures else 0
 
 

@@ -219,9 +219,6 @@ class FiniteRing:
     def neg(self, x: Element) -> Element:
         raise NotImplementedError
 
-    def nilpotent_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        raise NotImplementedError
-
     def parent_product(self) -> "ProductRing":
         raise NotImplementedError
 
@@ -406,9 +403,6 @@ class FiniteRing:
         _, rows = self._representative_rows(cap)
         return {elems[j] for j in np.flatnonzero(rows.all(axis=0))}
 
-    def is_reduced(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> bool:
-        return self.nilpotent_set(cap) == {self.zero}
-
     def subring_generated(
         self,
         gens,
@@ -588,15 +582,6 @@ class ProductRing(FiniteRing):
             raise ValueError("key arity mismatch")
         return bool(self.ann_meet_matrix([a, b])[0, 1])
 
-    def nilpotent_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        """x is nilpotent iff rad(n_i) divides x_i in every coordinate."""
-        if cap is not None and self.order > cap:
-            raise CapExceededError(
-                f"{self.spec.ring_id()} has order {self.order}, above the cap {cap}"
-            )
-        rads = [radical(n) for n in self.mods]
-        return set(cartesian(*[range(0, n, r) for n, r in zip(self.mods, rads)]))
-
 
 class Subring(FiniteRing):
     """An element-set subring of a product ring.
@@ -704,21 +689,6 @@ class Subring(FiniteRing):
     def ann_meet_matrix(self, keys) -> np.ndarray:
         rows = self._zero_product_matrix[list(keys)].astype(np.int64)
         return rows @ rows.T >= 2  # 0 annihilates everything; need one more
-
-    def nilpotent_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        """Brute powering: square until the power stabilizes or hits 0."""
-        out = set()
-        zero = self.parent.zero
-        steps = max(1, self.order.bit_length())
-        for x in self.elements(cap):
-            y = x
-            for _ in range(steps):
-                y = self.parent.mul(y, y)
-                if y == zero:
-                    break
-            if y == zero:
-                out.add(x)
-        return out
 
 
 def product_ring(text_or_spec) -> ProductRing:

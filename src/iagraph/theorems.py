@@ -6,6 +6,26 @@ annihilator-intersection graph as hypothesis -> conclusion.  A check is
 cap prevents evaluating it, and otherwise passes or fails with a structured
 witness.  Converses are only asserted where the law is an equivalence.
 
+Graph-side facts come from the ring's signature.  By CRT, Z_{n1} x ... x
+Z_{nk} is prod Z_{p^e} over the prime powers of all its factors, so its
+compressed graph depends only on the multiset of those exponents, sorted
+descending: the signature.  One cache holds the ``InvariantReport`` of each
+signature's valuation graph (a miss is built by ``build_ia_zn_symbolic``),
+and every family reads it.  With L local factors, the signature's length:
+Z(R) is an ideal iff L == 1, Z(R) has a common nonzero annihilator iff
+L == 1, R = ann(x) (+) ann(y) for some x, y iff L >= 2, and R is reduced iff
+every exponent is 1.  So the graph-side checks need only the graph cap.
+The element-level checks (T2.subring, T2.embed, the torsion checks and
+L4.gcd-adj) keep the element cap and the brute-force engine, which also
+supplies the witness of a failing ring-side check; above the element cap
+the closed-form facts are the witness.
+
+Self-check: in brute mode the first ring of each signature within the
+element cap is cross-checked, its cached report against the invariants of
+its brute-force graph and its closed forms against the engine's scans; a
+zn-symbolic sweep rebuilds the divisor graph of every n divisible by 199.
+A mismatch raises ``SelfCheckError``.
+
 Sweeps enumerate ring families deterministically, run a selected set of
 checks per ring, and aggregate pass/fail/skip counts; every failure keeps
 its witness.
@@ -30,13 +50,12 @@ from .rings import (
     CapExceededError,
     ProductRing,
     RingSpec,
-    big_omega,
+    UnsupportedVariantError,
     factorize,
     format_element,
     is_prime,
     is_prime_power,
     parse_ring_spec,
-    radical,
 )
 
 CHECK_IDS = (
@@ -60,21 +79,12 @@ CHECK_IDS = (
     "T5.mixed",
 )
 
-SYMBOLIC_CHECK_IDS = (
-    "T2.no-Kmn",
-    "T3.girth",
-    "T3.diam3",
-    "T3.card2",
-    "L4.gcd-adj",
-    "L4.three-primes",
-)
-
 
 @dataclass(frozen=True)
 class Caps:
     """Work bounds per check family; anything above is skipped, never guessed."""
 
-    element: int = 5000  # brute-force element enumeration
+    element: int = 5000  # brute-force element enumeration (element-level checks)
     torsion: int = 300  # ring order for torsion-graph checks
     total: int = 200  # ring order for total-graph embedding checks
     subring: int = 500  # ring order for the generated-subring check
@@ -179,29 +189,99 @@ CSV_HEADER = ["ring", "check_id", "applicable", "passed", "witness"]
 
 
 # ---------------------------------------------------------------------------
-# per-ring evaluation context (lazy, shared across checks)
+# the signature cache and the per-ring evaluation context
+
+
+class SelfCheckError(RuntimeError):
+    """A self-check found a cached result or a closed form disagreeing with its
+    recomputation."""
+
+
+_SIGNATURE_CACHE: dict[tuple[int, ...], InvariantReport] = {}
+_CROSS_CHECKED: set[tuple[int, ...]] = set()  # signatures the engine has confirmed
+
+# Checks that read the ring's elements beyond its graph: not run in symbolic mode.
+_ELEMENT_CHECKS = frozenset(("T2.subring", "T2.embed", "T3.torsion-complete", "T3.torsion-diam"))
+
+
+def _signature(factors) -> tuple[int, ...]:
+    """Exponents of the prime powers of all factors, sorted descending."""
+    return tuple(sorted([e for n in factors for _, e in factorize(n)], reverse=True))
+
+
+def _signature_invariants(sig, graph_cap: int, noun: str) -> InvariantReport:
+    """The cached report of the signature's valuation graph, checked against the
+    graph cap; a miss is built as the divisor graph of the first len(sig) primes
+    raised to the exponents of sig."""
+    report = _SIGNATURE_CACHE.get(sig)
+    count = math.prod(e + 1 for e in sig) - 2 if report is None else report.vertex_count
+    if count > graph_cap:
+        raise CapExceededError(f"{count} {noun} above graph cap {graph_cap}")
+    if report is None:
+        factorization = dict(zip(_first_primes(len(sig)), sig))
+        report = _SIGNATURE_CACHE[sig] = invariants(build_ia_zn_symbolic(factorization, graph_cap))
+    return report
 
 
 class _RingContext:
-    """Facts about one ring, computed at most once; check_ids are the checks it can run."""
+    """Facts about R = Z_{n1} x ... x Z_{nk}.  The graph-side facts are plain
+    attributes set here, from the signature cache and the closed forms; the
+    element-level ones come from the engine on demand.  Without a ring this is
+    symbolic mode: the element-level checks are not available, and the ring is
+    built only for L4.gcd-adj and witnesses, within the element cap."""
 
-    check_ids = frozenset(CHECK_IDS)
+    unavailable = frozenset()  # check ids reported as not available
 
-    def __init__(self, ring: ProductRing, caps: Caps):
+    def __init__(self, factors: tuple[int, ...], caps: Caps, ring: ProductRing | None = None):
         self.start_ns = time.perf_counter_ns()
-        self.ring = ring
+        self.factors = factors
         self.caps = caps
-        self.factors = ring.spec.factors
-        self.ring_id = ring.spec.ring_id()
+        self.signature = sig = _signature(factors)
+        self.z_ideal = len(sig) == 1
+        self.ring_id = "x".join([f"Z{n}" for n in factors])
+        if ring is None:
+            self.unavailable = _ELEMENT_CHECKS
+            noun = "divisor vertices"
+        else:
+            self.ring = ring
+            noun = "vertices"
+        try:
+            self.ia_inv = _signature_invariants(sig, caps.graph, noun)
+        except CapExceededError as exc:
+            self.over_graph_cap = str(exc)
 
-    # graph side -----------------------------------------------------------
+    # the other closed forms, in L = len(signature) local factors
+    @property
+    def common_ann_nonzero(self) -> bool:
+        return self.z_ideal
+
+    @property
+    def decomposes(self) -> bool:
+        """R = ann(x) (+) ann(y) for some x, y."""
+        return len(self.signature) >= 2
+
+    @property
+    def reduced(self) -> bool:
+        return self.signature[0] == 1
+
+    def __getattr__(self, name):
+        # reached for ia_inv only when __init__ left it unset, over the graph cap:
+        # the cap error is raised inside the check that reads it
+        if name == "ia_inv":
+            raise CapExceededError(self.over_graph_cap)
+        raise AttributeError(name)
+
+    @cached_property
+    def ring(self) -> ProductRing:
+        """Symbolic mode only; brute mode sets the ring in __init__."""
+        order = math.prod(self.factors)
+        if order > self.caps.element:
+            raise CapExceededError(f"order {order} above element cap {self.caps.element}")
+        return ProductRing(RingSpec(self.factors))
+
     @cached_property
     def ia(self) -> Graph:
         return build_ia(self.ring, self.caps.element, self.caps.graph)
-
-    @cached_property
-    def ia_inv(self) -> InvariantReport:
-        return invariants(self.ia)
 
     @cached_property
     def torsion(self) -> Graph:
@@ -211,65 +291,37 @@ class _RingContext:
             )
         return build_torsion(self.ring, self.caps.element, self.caps.graph)
 
-    # ring side ------------------------------------------------------------
     @cached_property
-    def z_ideal_witness(self):
-        return self.ring.zero_divisor_ideal_witness(self.caps.element)
-
-    @cached_property
-    def z_ideal(self) -> bool:
-        return self.z_ideal_witness is None
-
-    @cached_property
-    def reduced(self) -> bool:
-        # fast-path specialization: Nil(R) is trivial iff every modulus is squarefree
-        return all(radical(n) == n for n in self.factors)
-
-    @cached_property
-    def common_ann_nonzero(self) -> bool:
-        return len(self.ring.common_annihilator_of_zero_divisors(self.caps.element)) > 1
-
-    @cached_property
-    def decomposition(self):
-        return self.ring.has_ann_direct_sum_decomposition(self.caps.element)
-
-
-class _OverCap:
-    """Stands in for a value a cap kept from being computed: reading any of its
-    fields raises the cap error, inside the check that reads it."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-    def __getattr__(self, name):
-        raise CapExceededError(self.reason)
-
-
-class _ZnSymbolicContext(_RingContext):
-    """Z_n with element enumeration turned off: invariants of the divisor form, and
-    the closed form Z(Z_n) is an ideal iff n is a prime power, as plain attributes
-    (a sweep builds one per n); the ring is built on demand, for L4.gcd-adj."""
-
-    check_ids = frozenset(SYMBOLIC_CHECK_IDS)
-    ia_inv = z_ideal = None  # shadow the base cached_property: plain, faster reads
-
-    def __init__(self, n: int, caps: Caps):
-        self.start_ns = time.perf_counter_ns()
-        self.caps = caps
-        self.factors = (n,)
-        self.ring_id = f"Z{n}"
+    def z_ideal_witness(self) -> dict:
+        """Why Z(R) is not an ideal, for a failing check: the engine's first pair
+        with a sum outside Z(R), or the closed-form fact above the element cap."""
         try:
-            self.ia_inv = symbolic_invariants(n, caps)
-        except CapExceededError as exc:
-            self.ia_inv = _OverCap(str(exc))
-        self.z_ideal = len(factorize(n)) == 1
+            pair = self.ring.zero_divisor_ideal_witness(self.caps.element)
+        except CapExceededError:
+            return {"local_factors": len(self.signature)}
+        if pair is None:
+            raise SelfCheckError(f"signature cache mismatch on z_ideal at {self.ring_id}")
+        return {"non_closed_pair": [format_element(x) for x in pair]}
 
-    @cached_property
-    def ring(self) -> ProductRing:
-        n = self.factors[0]
-        if n > self.caps.element:
-            raise CapExceededError(f"order {n} above element cap {self.caps.element}")
-        return ProductRing(RingSpec(self.factors))
+
+def _cross_check(ctx: _RingContext) -> None:
+    """Compare the cached report and the closed forms of a signature with what the
+    engine finds on ctx.ring; over the graph cap nothing is cached to compare."""
+    ring, cap = ctx.ring, ctx.caps.element
+    with contextlib.suppress(CapExceededError):
+        pairs = {  # closed form or cached value, engine value
+            "invariants": (ctx.ia_inv, invariants(ctx.ia)),
+            "z_ideal": (ctx.z_ideal, ring.zero_divisor_ideal_witness(cap) is None),
+            "common_ann_nonzero": (
+                ctx.common_ann_nonzero,
+                len(ring.common_annihilator_of_zero_divisors(cap)) > 1,
+            ),
+            "decomposes": (ctx.decomposes, ring.has_ann_direct_sum_decomposition(cap)[0]),
+        }
+        for name, (closed, engine) in pairs.items():
+            if closed != engine:
+                raise SelfCheckError(f"signature cache mismatch on {name} at {ctx.ring_id}")
+        _CROSS_CHECKED.add(ctx.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +334,7 @@ def _check_ideal(ctx: _RingContext) -> TheoremCheck:
         return TheoremCheck("T2.ideal", applicable=False, passed=None)
     if ctx.z_ideal:
         return TheoremCheck("T2.ideal", applicable=True, passed=True)
-    x, y = ctx.z_ideal_witness
-    return TheoremCheck(
-        "T2.ideal",
-        applicable=True,
-        passed=False,
-        witness={"non_closed_pair": [format_element(x), format_element(y)]},
-    )
+    return TheoremCheck("T2.ideal", applicable=True, passed=False, witness=ctx.z_ideal_witness)
 
 
 def _check_thann(ctx: _RingContext) -> TheoremCheck:
@@ -296,7 +342,7 @@ def _check_thann(ctx: _RingContext) -> TheoremCheck:
     if not ctx.common_ann_nonzero:
         return TheoremCheck("T2.thann", applicable=False, passed=None)
     ok = ctx.ia_inv.complete
-    witness = None if ok else {"vertices": ctx.ia.vertex_count, "edges": ctx.ia.edge_count}
+    witness = None if ok else {"vertices": ctx.ia_inv.vertex_count, "edges": ctx.ia_inv.edge_count}
     return TheoremCheck("T2.thann", applicable=True, passed=ok, witness=witness)
 
 
@@ -309,8 +355,7 @@ def _check_goldie(ctx: _RingContext) -> TheoremCheck:
     if not ok:
         witness = {"z_ideal": ideal, "ia_complete": complete}
         if not ideal:
-            x, y = ctx.z_ideal_witness
-            witness["non_closed_pair"] = [format_element(x), format_element(y)]
+            witness.update(ctx.z_ideal_witness)
     return TheoremCheck("T2.goldie", applicable=True, passed=ok, witness=witness)
 
 
@@ -387,10 +432,8 @@ def _check_embed(ctx: _RingContext) -> TheoremCheck:
 def _check_vnr_or_nil(ctx: _RingContext) -> TheoremCheck:
     """Reduced without an annihilator direct-sum split, or non-reduced:
     the graph is connected with diameter at most 3."""
-    if ctx.reduced:
-        decomposes, _ = ctx.decomposition
-        if decomposes:
-            return TheoremCheck("T3.vnr-or-nil", applicable=False, passed=None)
+    if ctx.reduced and ctx.decomposes:
+        return TheoremCheck("T3.vnr-or-nil", applicable=False, passed=None)
     inv = ctx.ia_inv
     ok = inv.connected and inv.diameter is not None and inv.diameter <= 3
     witness = None if ok else {"connected": inv.connected, "diameter": _num(inv.diameter)}
@@ -488,10 +531,7 @@ def _check_gcd_adj(ctx: _RingContext) -> TheoremCheck:
 def _check_three_primes(ctx: _RingContext) -> TheoremCheck:
     """Z_n with at least 3 prime factors (with multiplicity): connected,
     diameter at most 2, girth 3; diameter exactly 2 given 2 distinct primes."""
-    if len(ctx.factors) != 1:
-        return TheoremCheck("L4.three-primes", applicable=False, passed=None)
-    n = ctx.factors[0]
-    if big_omega(n) < 3:
+    if len(ctx.factors) != 1 or sum(ctx.signature) < 3:
         return TheoremCheck("L4.three-primes", applicable=False, passed=None)
     inv = ctx.ia_inv
     ok = (
@@ -500,12 +540,12 @@ def _check_three_primes(ctx: _RingContext) -> TheoremCheck:
         and inv.diameter <= 2
         and inv.girth == 3
     )
-    if len(factorize(n)) >= 2:  # at least two distinct primes: diameter exactly 2
+    if len(ctx.signature) >= 2:  # at least two distinct primes: diameter exactly 2
         ok = ok and inv.diameter == 2
     witness = None
     if not ok:
         witness = {
-            "n": n,
+            "n": ctx.factors[0],
             "vertices": inv.vertex_count,
             "connected": inv.connected,
             "diameter": _num(inv.diameter),
@@ -620,6 +660,8 @@ def resolve_check_ids(checks) -> tuple[str, ...]:
     if checks in (None, "all") or checks == ("all",) or checks == ["all"]:
         return _CheckIds(CHECK_IDS)
     ids = _CheckIds(checks)
+    if not ids:
+        raise ValueError("no checks selected")
     for cid in ids:
         if cid not in _CHECK_FUNCS:
             raise ValueError(f"unknown check id {cid!r}")
@@ -630,9 +672,9 @@ def _run_checks(ctx: _RingContext, ids) -> RingReport:
     """Run the checks ids on one context; a check it cannot evaluate, or one
     that would exceed a cap, is reported skipped with the reason."""
     results = []
-    available = ctx.check_ids
+    unavailable = ctx.unavailable
     for cid in ids:
-        reason = "" if cid in available else "not available in symbolic mode"
+        reason = "not available in symbolic mode" if cid in unavailable else ""
         if not reason:
             try:
                 results.append(_CHECK_FUNCS[cid](ctx))
@@ -647,13 +689,20 @@ def _run_checks(ctx: _RingContext, ids) -> RingReport:
 
 
 def check_ring(ring, checks="all", caps: Caps | None = None) -> RingReport:
-    """Run the selected checks on one ring, brute-force mode."""
+    """Run the selected checks on one product ring, brute-force mode.  The first
+    ring of each signature within the element cap is cross-checked first."""
     if isinstance(ring, str):
         ring = ProductRing(parse_ring_spec(ring))
     elif isinstance(ring, RingSpec):
         ring = ProductRing(ring)
+    elif not isinstance(ring, ProductRing):
+        raise UnsupportedVariantError("check_ring takes a product ring; T2.subring checks subrings")
     ids = resolve_check_ids(checks)
-    return _run_checks(_RingContext(ring, caps or Caps()), ids)
+    caps = caps or Caps()
+    ctx = _RingContext(ring.spec.factors, caps, ring)
+    if ctx.signature not in _CROSS_CHECKED and ring.order <= caps.element:
+        _cross_check(ctx)
+    return _run_checks(ctx, ids)
 
 
 def embedding_check(ring, caps: Caps | None = None) -> TheoremCheck:
@@ -661,51 +710,25 @@ def embedding_check(ring, caps: Caps | None = None) -> TheoremCheck:
     return check_ring(ring, ("T2.embed",), caps).checks[0]
 
 
-# ---------------------------------------------------------------------------
-# symbolic-mode checking for Z_n
-
-
-_SYMBOLIC_INV_CACHE: dict[tuple[int, ...], InvariantReport] = {}
+def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None) -> RingReport:
+    """Run the selected checks on Z_n in symbolic mode: the element-level checks
+    are not available, and no ring is cross-checked."""
+    return _run_checks(_RingContext((n,), caps or Caps()), resolve_check_ids(checks))
 
 
 def symbolic_invariants(n: int, caps: Caps) -> InvariantReport:
-    """Invariants of the divisor-form graph of Z_n.
-
-    The divisor graph depends only on the multiset of exponents in the
-    factorization of n (divisors correspond to exponent vectors and gcd
-    adjacency only reads those vectors), so results are cached per
-    exponent signature.
-    """
-    fac = factorize(n)
-    sig = tuple(sorted((e for _, e in fac), reverse=True))
-    report = _SYMBOLIC_INV_CACHE.get(sig)
-    if report is None:  # the build checks the cap first
-        report = _SYMBOLIC_INV_CACHE[sig] = invariants(build_ia_zn_symbolic(dict(fac), caps.graph))
-    elif report.vertex_count > caps.graph:  # an entry built under a larger cap
-        raise CapExceededError(
-            f"{report.vertex_count} divisor vertices above graph cap {caps.graph}"
-        )
-    return report
-
-
-def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None) -> RingReport:
-    """Run the symbolic-capable checks on Z_n without enumerating elements."""
-    ids = resolve_check_ids(checks)
-    return _run_checks(_ZnSymbolicContext(n, caps or Caps()), ids)
+    """Invariants of the divisor-form graph of Z_n, from the signature cache."""
+    return _signature_invariants(_signature((n,)), caps.graph, "divisor vertices")
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-class SelfCheckError(RuntimeError):
-    """A periodic self-check found a cached result disagreeing with its recomputation."""
-
-
 @dataclass
 class SweepConfig:
     family: str  # zn | zn-symbolic | products | domain-products
-    max_n: int  # max modulus (zn families) / max order (products) / max k
+    max_n: int  # max modulus (zn families) / max order (products) / max k (domain products)
     max_factors: int = 3
     checks: tuple[str, ...] | str = "all"
     caps: Caps = field(default_factory=Caps)
@@ -821,8 +844,8 @@ def _sweep_items(config: SweepConfig):
         return list(range(2, config.max_n + 1))
     if config.family == "products":
         return enumerate_product_specs(config.max_n, config.max_factors)
-    primes = _first_primes(config.max_factors)
-    return [RingSpec(tuple(primes[:k])) for k in range(2, config.max_factors + 1)]
+    primes = _first_primes(config.max_n)
+    return [RingSpec(tuple(primes[:k])) for k in range(2, config.max_n + 1)]
 
 
 def _run_item(item, config: SweepConfig) -> RingReport:

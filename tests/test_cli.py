@@ -1,14 +1,24 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 
 import pytest
 
+from iagraph import theorems
 from iagraph.cli import main
 from iagraph.graphs import build_ia_zn_symbolic
 from iagraph.invariants import invariants
-from iagraph.theorems import _SYMBOLIC_INV_CACHE
+from iagraph.theorems import (
+    _SIGNATURE_CACHE,
+    CSV_HEADER,
+    Caps,
+    SweepConfig,
+    report_csv_rows,
+    sweep,
+)
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +246,74 @@ def test_sweep_products_family(capsys):
     assert payload["ring_count"] > 30
 
 
+def test_sweep_domain_products_takes_k_from_max(capsys):
+    """k runs over 2..--max; --max-factors does not bound it."""
+    for argv, count in ((("--max", "6"), 5), (("--max", "2", "--max-factors", "5"), 1)):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--family", "domain-products", *argv, "--checks", "T5.n-domains"
+        )
+        assert code == 0
+        assert json.loads(out)["ring_count"] == count, argv
+
+
+def test_sweep_empty_check_selection_exit_two(capsys):
+    for checks in (",", " , "):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "products", "--max", "12", "--checks", checks
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no checks selected\n"
+
+
+def _library_csv(config):
+    """The CSV a sweep prints, built from the library without the CLI."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    sweep(config, report_sink=lambda report: writer.writerows(report_csv_rows(report)))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, config, warning",
+    [
+        (
+            ("--family", "products", "--max", "12", "--max-factors", "1"),
+            SweepConfig(family="products", max_n=12, max_factors=1),
+            "warning: the sweep visited no rings\n",
+        ),
+        (
+            ("--family", "zn", "--max", "20", "--checks", "T2.embed", "--total-cap", "1"),
+            SweepConfig(family="zn", max_n=20, checks=("T2.embed",), caps=Caps(total=1)),
+            "warning: every check was skipped on every ring\n",
+        ),
+        (
+            ("--family", "zn", "--max", "20", "--checks", "T2.embed,T3.girth", "--total-cap", "1"),
+            SweepConfig(family="zn", max_n=20, checks=("T2.embed", "T3.girth"), caps=Caps(total=1)),
+            "",
+        ),
+    ],
+)
+def test_sweep_warns_when_nothing_was_checked(capsys, argv, config, warning):
+    """The warning goes to stderr; stdout and the exit status stay as they were.
+    One check evaluated on some ring is enough to stay silent."""
+    code, out, err = run_cli(capsys, "sweep", *argv, "--format", "csv")
+    assert code == 0
+    assert out == _library_csv(config)
+    assert err == warning
+
+
+def test_sweep_products_above_element_cap_has_no_skips(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "products", "--max", "8000", "--max-factors", "2",
+        "--checks", "T3.girth",
+    )
+    assert code == 0 and err == ""
+    stats = json.loads(out)["checks"]["T3.girth"]
+    assert stats["skipped"] == 0 and stats["passed"] == json.loads(out)["ring_count"]
+
+
 # ---------------------------------------------------------------------------
 # iso
 
@@ -365,9 +443,22 @@ def test_jobs_above_cpu_count_rejected(capsys):
     assert "jobs must be an integer from 1 to" in err
 
 
+def test_signature_cache_mismatch_in_products_sweep_exits_3(capsys, monkeypatch):
+    """The first ring of a signature is cross-checked against the engine: a
+    poisoned entry for two fields (the complete graph of Z8) stops the sweep."""
+    monkeypatch.setattr(theorems, "_CROSS_CHECKED", set())
+    monkeypatch.setitem(_SIGNATURE_CACHE, (1, 1), invariants(build_ia_zn_symbolic({2: 3})))
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "products", "--max", "30", "--checks", "T3.girth"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: signature cache mismatch on invariants at Z2xZ2\n"
+
+
 def test_symbolic_cache_mismatch_exits_3(capsys, monkeypatch):
     """The periodic recheck at n = 199 catches a poisoned cache entry for the primes."""
-    monkeypatch.setitem(_SYMBOLIC_INV_CACHE, (1,), invariants(build_ia_zn_symbolic({2: 2})))
+    monkeypatch.setitem(_SIGNATURE_CACHE, (1,), invariants(build_ia_zn_symbolic({2: 2})))
     code, out, err = run_cli(capsys, "sweep", "--family", "zn-symbolic", "--max", "199")
     assert code == 3
     assert out == ""

@@ -21,7 +21,7 @@ from iagraph.graphs import (
 )
 from iagraph.invariants import is_isomorphic
 from iagraph.rings import CapExceededError, factorize, format_element, product_ring
-from iagraph.theorems import Caps, _RingContext, _run_checks, check_ring
+from iagraph.theorems import Caps, _RingContext, _run_checks
 
 from conftest import oracle_add, oracle_annihilator, oracle_zero_divisors, ring_elements
 
@@ -514,7 +514,7 @@ def test_embed_check_matches_triple_loop(small_ring_ids, generated_subrings):
     caps = Caps(total=4096)
     rings = [product_ring(rid) for rid in small_ring_ids] + generated_subrings
     for ring in rings + [product_ring("Z4096")]:
-        check = check_ring(ring, ("T2.embed",), caps).checks[0]
+        check = _run_checks(_RingContext(ring.spec.factors, caps, ring), ("T2.embed",)).checks[0]
         assert check.witness == loop_embed_witness(ring), ring
 
 
@@ -535,7 +535,7 @@ def test_embed_witness_matches_loop_on_forced_graphs(
         ia = build_ia(ring)
         edges = list(itertools.combinations(range(ia.vertex_count), 2))
         while True:
-            ctx = _RingContext(ring, caps)
+            ctx = _RingContext(ring.spec.factors, caps, ring)
             ctx.ia = Graph(ia.labels, edges, ia.class_sizes)
             witness = _run_checks(ctx, ("T2.embed",)).checks[0].witness
             assert witness == loop_embed_witness(ring, ctx.ia), (ring, edges)

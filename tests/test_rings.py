@@ -21,6 +21,7 @@ from iagraph.rings import (
     product_ring,
     radical,
 )
+from iagraph.theorems import Caps, _RingContext
 
 from conftest import (
     oracle_add,
@@ -373,12 +374,6 @@ def test_common_annihilator():
     assert z7.common_annihilator_of_zero_divisors() == set(z7.elements())
 
 
-def test_nilpotent_set_examples():
-    assert product_ring("Z12").nilpotent_set() == {(0,), (6,)}
-    assert product_ring("Z30").nilpotent_set() == {(0,)}
-    assert product_ring("Z4xZ3").nilpotent_set() == {(0, 0), (2, 0)}
-
-
 def brute_nilpotents(ring):
     out = set()
     steps = max(1, ring.order.bit_length())
@@ -393,13 +388,23 @@ def brute_nilpotents(ring):
     return out
 
 
+def test_nilpotent_set_examples():
+    """The brute nilpotent scan on hand-checked rings, and the closed form of
+    "reduced" (every modulus squarefree) that the checks read."""
+    assert brute_nilpotents(product_ring("Z12")) == {(0,), (6,)}
+    assert brute_nilpotents(product_ring("Z30")) == {(0,)}
+    assert brute_nilpotents(product_ring("Z4xZ3")) == {(0, 0), (2, 0)}
+    reduced = [_RingContext(f, Caps()).reduced for f in ((12,), (30,), (4, 3), (2, 3, 5))]
+    assert reduced == [False, True, False, True]
+
+
 def test_nilpotent_fast_path_equals_powering(small_ring_ids):
-    for rid in small_ring_ids:
-        ring = product_ring(rid)
-        assert ring.nilpotent_set() == brute_nilpotents(ring), rid
-    for n in range(2, 80):
-        ring = product_ring(f"Z{n}")
-        assert ring.nilpotent_set() == brute_nilpotents(ring), n
+    """The closed form of "reduced" equals: no nonzero nilpotent, by brute powering."""
+    rings = [product_ring(rid) for rid in small_ring_ids]
+    rings += [product_ring(f"Z{n}") for n in range(2, 80)]
+    for ring in rings:
+        reduced = brute_nilpotents(ring) == {ring.zero}
+        assert _RingContext(ring.spec.factors, Caps()).reduced == reduced, ring
 
 
 # ---------------------------------------------------------------------------

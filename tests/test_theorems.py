@@ -3,13 +3,17 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from iagraph.graphs import build_ia_zn_symbolic
+from iagraph import theorems
+from iagraph.graphs import build_ia, build_ia_zn_symbolic
 from iagraph.invariants import invariants
-from iagraph.rings import factorize
+from iagraph.rings import UnsupportedVariantError, factorize, product_ring
 from iagraph.theorems import (
-    _SYMBOLIC_INV_CACHE,
+    _SIGNATURE_CACHE,
+    SelfCheckError,
+    _RingContext,
     CHECK_IDS,
     CSV_HEADER,
     Caps,
@@ -180,8 +184,15 @@ def test_tiny_element_cap_skips_visibly():
     for c in skipped:
         assert "cap" in c.reason
     assert not any(c.failed for c in report.checks)
-    # no check may claim a pass that needed enumeration
-    assert all(c.skipped or not c.applicable for c in report.checks)
+    # no check may claim a pass that needed enumeration; the graph-side checks
+    # read the signature cache and get the verdicts of the default caps
+    element_checks = {"T2.subring", "T2.embed", "T3.torsion-complete", "T3.torsion-diam", "L4.gcd-adj"}
+    full = check_ring("Z12")
+    for c in report.checks:
+        if c.id in element_checks:
+            assert c.skipped or not c.applicable, c
+        else:
+            assert c == by_id(full, c.id), c
 
 
 def test_torsion_cap_skip_reason():
@@ -229,18 +240,26 @@ def test_symbolic_cache_consistency():
 
 def test_symbolic_reports_carry_timing(monkeypatch):
     """A cold cache entry (766 divisor vertices) is built inside the timed span."""
-    monkeypatch.delitem(_SYMBOLIC_INV_CACHE, (5, 3, 1, 1, 1, 1, 1), raising=False)
+    monkeypatch.delitem(_SIGNATURE_CACHE, (5, 3, 1, 1, 1, 1, 1), raising=False)
     report = check_zn_symbolic(2**5 * 3**3 * 5 * 7 * 11 * 13 * 17, ("T3.girth",))
     assert report.ring == "Z73513440"
     assert report.to_json_dict()["timing_ms"] == report.timing_ms > 0
 
 
 def test_symbolic_unavailable_checks_are_skipped():
+    """Symbolic mode skips the checks that read elements beyond the graph; the
+    closed forms make the ring-side graph checks available."""
+    report = check_zn_symbolic(120, "all")
+    for cid in ("T2.subring", "T2.embed", "T3.torsion-complete", "T3.torsion-diam"):
+        check = by_id(report, cid)
+        assert check.skipped and check.reason == "not available in symbolic mode", cid
+    brute = check_ring("Z120")
+    for cid in CHECK_IDS:
+        if not by_id(report, cid).skipped:
+            assert by_id(report, cid) == by_id(brute, cid), cid
     report = check_zn_symbolic(10**5, ("T2.goldie", "T3.girth"))
-    goldie = by_id(report, "T2.goldie")
-    assert goldie.skipped and "symbolic" in goldie.reason
-    girth_check = by_id(report, "T3.girth")
-    assert girth_check.applicable and girth_check.passed
+    for cid in ("T2.goldie", "T3.girth"):
+        assert by_id(report, cid).applicable and by_id(report, cid).passed, cid
 
 
 def test_symbolic_gcd_adj_runs_below_cap_and_skips_above():
@@ -254,14 +273,14 @@ def test_symbolic_gcd_adj_runs_below_cap_and_skips_above():
 def test_symbolic_graph_cap_is_a_skip_cold_and_cached(monkeypatch):
     """720 = 2^4 3^2 5 has 28 divisor vertices.  Over the graph cap the check is
     skipped, whether the signature is cold or cached under the default cap."""
-    monkeypatch.delitem(_SYMBOLIC_INV_CACHE, (4, 2, 1), raising=False)
+    monkeypatch.delitem(_SIGNATURE_CACHE, (4, 2, 1), raising=False)
     for caps in (Caps(graph=4), Caps(), Caps(graph=4)):
         check = by_id(check_zn_symbolic(720, ("T3.girth",), caps), "T3.girth")
         if caps.graph == 4:
             assert check.skipped, check
             assert check.reason == "28 divisor vertices above graph cap 4"
         else:
-            assert check.passed and (4, 2, 1) in _SYMBOLIC_INV_CACHE
+            assert check.passed and (4, 2, 1) in _SIGNATURE_CACHE
 
 
 def test_symbolic_sweep_over_graph_cap_rechecks_nothing():
@@ -272,6 +291,125 @@ def test_symbolic_sweep_over_graph_cap_rechecks_nothing():
     stats = agg.stats["T3.girth"]
     assert stats.skipped + stats.passed + stats.failed + stats.inapplicable == 799
     assert stats.skip_reasons["4 divisor vertices above graph cap 2"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the signature cache, the closed forms and the cross-check
+
+
+@pytest.fixture
+def cold_signatures(monkeypatch):
+    """An empty signature cache and no signature cross-checked yet."""
+    monkeypatch.setattr(theorems, "_SIGNATURE_CACHE", {})
+    monkeypatch.setattr(theorems, "_CROSS_CHECKED", set())
+    return theorems
+
+
+def has_nonzero_nilpotent(ring):
+    """Brute powering of every element, vectorized: x^(2^k) for k = bit length."""
+    x = np.array(ring.elements(), dtype=np.int64)
+    mods = np.array(ring.spec.factors, dtype=np.int64)
+    for _ in range(ring.order.bit_length()):
+        x = x * x % mods
+    return int((x == 0).all(axis=1).sum()) > 1
+
+
+def test_signature_cache_and_closed_forms_equal_the_engine(cold_signatures):
+    """Every spec of order <= 300 with up to 4 factors: the cached report of the
+    signature equals the invariants of the brute-force graph, and each closed
+    form equals the engine's scan."""
+    specs = [(n,) for n in range(2, 301)] + [s.factors for s in enumerate_product_specs(300, 4)]
+    assert len(specs) == 1456
+    for factors in specs:
+        ring = product_ring("x".join(f"Z{n}" for n in factors))
+        ctx = _RingContext(factors, Caps())
+        assert ctx.ia_inv == invariants(build_ia(ring)), factors
+        assert ctx.z_ideal == (ring.zero_divisor_ideal_witness() is None), factors
+        common = ring.common_annihilator_of_zero_divisors()
+        assert ctx.common_ann_nonzero == (len(common) > 1), factors
+        assert ctx.decomposes == ring.has_ann_direct_sum_decomposition()[0], factors
+        assert ctx.reduced == (not has_nonzero_nilpotent(ring)), factors
+    assert len(cold_signatures._SIGNATURE_CACHE) == len({_RingContext(f, Caps()).signature for f in specs})
+
+
+def test_above_element_cap_graph_checks_get_verdicts():
+    """Z101xZ103 has order 10403: the graph-side checks read the signature and agree
+    with a brute-force run under a larger element cap; the element-level checks
+    are still skipped, each on its own cap."""
+    report = check_ring("Z101xZ103")
+    brute = check_ring("Z101xZ103", caps=Caps(element=20_000))
+    skipped = {c.id: c.reason for c in report.checks if c.skipped}
+    assert skipped == {
+        "T2.subring": "order 10403 above subring cap 500",
+        "T2.embed": "order 10403 above total cap 200",
+        "T3.torsion-complete": "order 10403 above torsion cap 300",
+        "T3.torsion-diam": "order 10403 above torsion cap 300",
+    }
+    for check in report.checks:
+        if check.id not in skipped:
+            assert check == by_id(brute, check.id), check.id
+    assert by_id(report, "T5.two-domains").passed
+    gcd = by_id(check_ring("Z10007"), "L4.gcd-adj")
+    assert gcd.skipped and gcd.reason == "Z10007 has order 10007, above the cap 5000"
+
+
+def test_products_above_element_cap_are_not_skipped():
+    agg = sweep(SweepConfig(family="products", max_n=6000, max_factors=2, checks=("T3.girth",)))
+    stats = agg.stats["T3.girth"]
+    assert stats.skipped == 0 and stats.failed == 0 and stats.passed == agg.ring_count > 10_000
+
+
+def test_failing_checks_carry_witnesses(cold_signatures, monkeypatch):
+    """A poisoned entry (the complete two-vertex graph of Z8 for two local factors)
+    makes T2.goldie and T2.ideal fail.  Below the element cap the engine supplies
+    the first pair with a sum outside Z(R); above it the closed form is the
+    witness, and the failure is never turned into a skip."""
+    monkeypatch.setitem(cold_signatures._SIGNATURE_CACHE, (1, 1), invariants(build_ia_zn_symbolic({2: 3})))
+    cold_signatures._CROSS_CHECKED.add((1, 1))
+    ids = ("T2.ideal", "T2.goldie", "T3.card2")
+    small = check_ring("Z2xZ3", ids)
+    assert [c.failed for c in small.checks] == [True, True, True]
+    assert by_id(small, "T2.ideal").witness == {"non_closed_pair": ["(0,1)", "(1,0)"]}
+    assert by_id(small, "T2.goldie").witness == {
+        "z_ideal": False,
+        "ia_complete": True,
+        "non_closed_pair": ["(0,1)", "(1,0)"],
+    }
+    assert by_id(small, "T3.card2").witness == {"edge": True, "z_ideal": False}
+    large = check_ring("Z101xZ103", ids)
+    assert by_id(large, "T2.ideal").witness == {"local_factors": 2}
+    assert by_id(large, "T2.goldie").witness == {
+        "z_ideal": False,
+        "ia_complete": True,
+        "local_factors": 2,
+    }
+    assert by_id(check_zn_symbolic(10403, ids), "T2.goldie").witness == by_id(large, "T2.goldie").witness
+    assert by_id(check_zn_symbolic(6, ids), "T2.ideal").witness == {"non_closed_pair": ["2", "3"]}
+
+
+def test_cross_check_catches_a_poisoned_entry(cold_signatures, monkeypatch):
+    monkeypatch.setitem(cold_signatures._SIGNATURE_CACHE, (1, 1), invariants(build_ia_zn_symbolic({2: 3})))
+    with pytest.raises(SelfCheckError, match="signature cache mismatch on invariants at Z2xZ3"):
+        check_ring("Z2xZ3", ("T3.girth",))
+    assert (1, 1) not in cold_signatures._CROSS_CHECKED
+    check_zn_symbolic(6, ("T3.girth",))  # symbolic mode runs no element cross-check
+
+
+def test_cross_check_once_per_signature_within_the_element_cap(cold_signatures, monkeypatch):
+    calls = []
+    original = cold_signatures._cross_check
+    monkeypatch.setattr(cold_signatures, "_cross_check", lambda ctx: calls.append(ctx.ring_id) or original(ctx))
+    for spec in ("Z101xZ103", "Z6", "Z10", "Z2xZ3", "Z12", "Z10007"):
+        check_ring(spec, ("T3.girth",))
+    assert calls == ["Z6", "Z12"]
+    assert cold_signatures._CROSS_CHECKED == {(1, 1), (2, 1)}
+    check_ring("Z8xZ3", ("T3.girth",), Caps(graph=1))  # over the graph cap: nothing to compare
+    assert calls[-1] == "Z8xZ3" and (3, 1) not in cold_signatures._CROSS_CHECKED
+
+
+def test_check_ring_takes_product_rings_only(generated_subrings):
+    with pytest.raises(UnsupportedVariantError):
+        check_ring(generated_subrings[0])
 
 
 # ---------------------------------------------------------------------------
