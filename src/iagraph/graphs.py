@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as cartesian
 
 import numpy as np
@@ -49,43 +50,33 @@ class VertexClass:
 
 
 class Graph:
-    """Labeled simple undirected graph with adjacency sets."""
-
-    __slots__ = ("labels", "neighbors", "class_sizes", "_label_index")
+    """Labeled simple undirected graph: one symmetric n x n boolean adjacency
+    matrix ``adj`` with a false diagonal; every other view is derived from it."""
 
     def __init__(self, labels, edges, class_sizes=None):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
+        """edges is the adjacency matrix itself (a bool array, kept, not copied)
+        or an iterable of (i, j) index pairs."""
+        self.labels = tuple(labels)
+        n = len(self.labels)
+        if len(set(self.labels)) != n:
             raise ValueError("duplicate vertex labels")
-        nbrs = [set() for _ in labels]
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"loop at vertex {i}")
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        self.labels = labels
-        self.neighbors = tuple(frozenset(s) for s in nbrs)
-        if class_sizes is None:
-            class_sizes = tuple(1 for _ in labels)
-        self.class_sizes = tuple(class_sizes)
-        self._label_index = None
-
-    @classmethod
-    def from_neighbors(cls, labels, neighbor_sets, class_sizes=None) -> "Graph":
-        """Construct from prebuilt symmetric neighbor sets (no edge scatter)."""
-        graph = cls.__new__(cls)
-        graph.labels = tuple(labels)
-        if len(set(graph.labels)) != len(graph.labels):
-            raise ValueError("duplicate vertex labels")
-        graph.neighbors = tuple(frozenset(s) for s in neighbor_sets)
-        for i, nbrs in enumerate(graph.neighbors):
-            if i in nbrs:
-                raise ValueError(f"loop at vertex {i}")
-        if class_sizes is None:
-            class_sizes = tuple(1 for _ in graph.labels)
-        graph.class_sizes = tuple(class_sizes)
-        graph._label_index = None
-        return graph
+        if isinstance(edges, np.ndarray) and edges.dtype == bool:
+            adj = edges
+        else:
+            pairs = np.array([(i, j) for i, j in edges], dtype=np.intp).reshape(-1, 2)
+            if len(pairs) and not (0 <= pairs.min() and pairs.max() < n):
+                raise ValueError(f"edge index outside 0..{n - 1}")
+            adj = np.zeros((n, n), dtype=bool)
+            adj[pairs[:, 0], pairs[:, 1]] = adj[pairs[:, 1], pairs[:, 0]] = True
+        if adj.shape != (n, n):
+            raise ValueError(f"adjacency shape {adj.shape} for {n} vertices")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("adjacency matrix is not symmetric")
+        loops = np.flatnonzero(adj.diagonal())
+        if len(loops):
+            raise ValueError(f"loop at vertex {loops[0]}")
+        self.adj = adj
+        self.class_sizes = tuple(class_sizes) if class_sizes is not None else (1,) * n
 
     @property
     def vertex_count(self) -> int:
@@ -93,23 +84,31 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.neighbors) // 2
+        return int(np.count_nonzero(self.adj)) // 2
+
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        """Ascending neighbor indices of each vertex."""
+        ends = np.cumsum(np.count_nonzero(self.adj, axis=1)).tolist()
+        cols = np.nonzero(self.adj)[1].tolist()
+        return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def adjacent(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i]
+        return bool(self.adj[i, j])
 
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once as (i, j) with i < j, sorted."""
-        return sorted(
-            (i, j) for i, nbrs in enumerate(self.neighbors) for j in nbrs if i < j
-        )
+        rows, cols = np.nonzero(np.triu(self.adj, 1))
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def degree_sequence(self) -> list[int]:
-        return sorted(len(s) for s in self.neighbors)
+        return sorted(np.count_nonzero(self.adj, axis=1).tolist())
+
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
-        if self._label_index is None:
-            self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         return self._label_index[label]
 
     def edge_labels(self) -> set[frozenset[str]]:
@@ -137,18 +136,11 @@ def compress_classes(
     ]
 
 
-def _neighbor_lists(adj: np.ndarray) -> list[list[int]]:
-    """Column indices of the true entries of a boolean matrix, row by row."""
-    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
-    cols = np.nonzero(adj)[1].tolist()
-    return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
 def _meet_graph(ring: FiniteRing, labels, keys, class_sizes=None) -> Graph:
     """Vertices with annihilator keys, adjacent iff their annihilators meet beyond 0."""
     adj = ring.ann_meet_matrix(keys)
     np.fill_diagonal(adj, False)
-    return Graph.from_neighbors(labels, _neighbor_lists(adj), class_sizes)
+    return Graph(labels, adj, class_sizes)
 
 
 def build_ia(
@@ -192,12 +184,11 @@ def build_total(
     verts = list(ring.elements(cap))
     if len(verts) > vertex_cap:
         raise CapExceededError(f"{len(verts)} vertices above graph cap {vertex_cap}")
-    neighbors = []
+    adj = np.empty((len(verts), len(verts)), dtype=bool)
     for start, block in ring.zero_divisor_sum_blocks(verts, verts):
-        rows = np.arange(len(block))
-        block[rows, rows + start] = False  # no loops
-        neighbors += _neighbor_lists(block)
-    return Graph.from_neighbors([format_element(x) for x in verts], neighbors)
+        adj[start : start + len(block)] = block
+    np.fill_diagonal(adj, False)
+    return Graph([format_element(x) for x in verts], adj)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +206,7 @@ def _valuation_graph(exponents, name) -> Graph:
     for column in (tuples > 0).T:
         adj |= np.logical_and.outer(column, column)
     np.fill_diagonal(adj, False)
-    return Graph.from_neighbors([str(key) for key, _ in named], _neighbor_lists(adj))
+    return Graph([str(key) for key, _ in named], adj)
 
 
 def build_ia_zn_symbolic(
@@ -276,17 +267,21 @@ def build_ia_domain_product(
 
 
 def graph_to_dot(graph: Graph, name: str = "IA") -> str:
-    """DOT text: sorted vertex lines, then each edge once in sorted label order."""
-    lines = [f"graph {name} {{"]
-    for label in sorted(graph.labels):
-        lines.append(f'  "{label}";')
-    edge_pairs = sorted(
-        tuple(sorted((graph.labels[i], graph.labels[j]))) for i, j in graph.edges()
-    )
-    for a, b in edge_pairs:
-        lines.append(f'  "{a}" -- "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT text: sorted vertex lines, then each edge once in sorted label order.
+
+    Row a of the upper triangle of the matrix permuted into label order holds,
+    ascending, the edges whose lesser label is the a-th; each row is one join."""
+    order = sorted(range(graph.vertex_count), key=graph.labels.__getitem__)
+    quoted = [f'"{graph.labels[i]}"' for i in order]
+    tails = [f"{q};\n" for q in quoted]
+    parts = [f"graph {name} {{\n"] + [f"  {tail}" for tail in tails]
+    for q, row in zip(quoted, np.triu(graph.adj[np.ix_(order, order)], 1)):
+        ends = np.flatnonzero(row).tolist()
+        if ends:
+            head = f"  {q} -- "
+            parts.append(head + head.join(map(tails.__getitem__, ends)))
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def graph_to_json_dict(graph: Graph, ring: str, graph_kind: str) -> dict:
@@ -297,5 +292,5 @@ def graph_to_json_dict(graph: Graph, ring: str, graph_kind: str) -> dict:
             {"label": lab, "class_size": size}
             for lab, size in zip(graph.labels, graph.class_sizes)
         ],
-        "edges": [[i, j] for i, j in graph.edges()],
+        "edges": np.argwhere(np.triu(graph.adj, 1)).tolist(),
     }

@@ -1,10 +1,13 @@
 """Graph invariants and isomorphism testing.
 
-Diameter and girth use BFS; both have exact shortcuts for the common dense
-cases (completeness, diameter-2 via common neighbors, girth-3 via triangle
-scan) so that sweeps over many graphs stay cheap.  Infinite values are
-represented by ``None`` and serialized as the string ``"inf"``; no floating
-point is involved anywhere.
+Every invariant reads the adjacency matrix.  Distances come from an exact
+boolean matrix product: rows packed into 64-bit words, ANDed pairwise in
+blocks of bounded size.  The diameter is the least k at which the reach
+matrix (I | A)^k fills up, None when it stops growing first.  Girth tests
+each edge for a common neighbor (a triangle, the common case) and only a
+triangle-free graph falls back to BFS from every vertex.  Infinite values
+are represented by ``None`` and serialized as the string ``"inf"``; no
+floating point is involved anywhere.
 
 Isomorphism is decided by backtracking over candidate vertex images, pruned
 by degree and iterated neighborhood-degree refinement, with a configurable
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Graph
 from .rings import CapExceededError
@@ -85,62 +90,84 @@ class InvariantReport:
 # ---------------------------------------------------------------------------
 # connectivity / distance
 
-
-def _bfs_reach(neighbors, start: int) -> list[int]:
-    """Distances from start, -1 where unreachable."""
-    dist = [-1] * len(neighbors)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in neighbors[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+# Bound on the bytes of one block of gathered word rows.
+_PRODUCT_BLOCK_BYTES = 1 << 24
 
 
-def is_connected(graph: Graph) -> bool:
-    n = graph.vertex_count
-    if n <= 1:
-        return True
-    return all(d >= 0 for d in _bfs_reach(graph.neighbors, 0))
+def _packed_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows of a boolean matrix as 64-bit words, zero-padded."""
+    bits = np.packbits(matrix, axis=1)
+    words = np.zeros((len(bits), -(-bits.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : bits.shape[1]] = bits
+    return words.view(np.uint64)
+
+
+def _rows_meet(a: np.ndarray, b: np.ndarray, mask: np.ndarray):
+    """Yield (i, j, meet) over the true entries (i, j), i < j, of mask, in
+    row-major blocks: meet[t] iff row i[t] of a and row j[t] of b share a true
+    column.
+
+    Blocks start at about 4096 mask entries and double, so a caller that stops
+    at its first hit pays little when the hit is early; no block gathers more
+    than about _PRODUCT_BLOCK_BYTES of words."""
+    wa = _packed_rows(a)
+    wb = wa if b is a else _packed_rows(b)
+    n = max(1, mask.shape[1])
+    cap = max(1, _PRODUCT_BLOCK_BYTES // (n * max(1, wa.shape[1]) * 8))
+    lo, rows = 0, min(cap, -(-4096 // n))
+    while lo < len(mask):
+        i, j = np.nonzero(mask[lo : lo + rows])
+        i += lo
+        upper = j > i
+        i, j = i[upper], j[upper]
+        yield i, j, (wa[i] & wb[j]).any(axis=1)
+        lo, rows = lo + rows, min(2 * rows, cap)
+
+
+def _reach_step(reach: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The exact boolean product reach . step, for reach and step powers of one
+    symmetric bool matrix with a true diagonal: the product is symmetric and
+    contains reach, so only the false entries of reach above the diagonal are
+    computed."""
+    grown = reach.copy()
+    for i, j, meet in _rows_meet(reach, step, ~reach):
+        grown[i, j] = grown[j, i] = meet
+    return grown
 
 
 def diameter(graph: Graph) -> int | None:
-    """Longest shortest-path distance; None when disconnected, 0 below 2 vertices."""
+    """Longest shortest-path distance; None when disconnected, 0 below 2 vertices.
+
+    The reach matrix (I | A)^k marks the pairs at distance at most k.  Squaring
+    finds the least power of two 2^t at which it fills up (or stops growing:
+    disconnected); the diameter k in (2^(t-1), 2^t] is then lifted bit by bit,
+    so at most 2 log2(n) products are taken."""
     n = graph.vertex_count
     if n <= 1:
         return 0
-    nbrs = graph.neighbors
-    first = _bfs_reach(nbrs, 0)
-    if min(first) < 0:
-        return None
-    if graph.edge_count == n * (n - 1) // 2:
+    powers = [graph.adj | np.eye(n, dtype=bool)]  # (I | A)^(2^i)
+    while not powers[-1].all():
+        square = _reach_step(powers[-1], powers[-1])
+        if np.array_equal(square, powers[-1]):
+            return None
+        powers.append(square)
+    if len(powers) == 1:
         return 1
-    # exact diameter-2 test: every non-adjacent pair shares a neighbor
-    if all(
-        v in nbrs[u] or not nbrs[u].isdisjoint(nbrs[v])
-        for u in range(n)
-        for v in range(u + 1, n)
-    ):
-        return 2
-    best = max(first)
-    for s in range(1, n):
-        best = max(best, max(_bfs_reach(nbrs, s)))
-    return best
+    reach, k = powers[-2], 2 ** (len(powers) - 2)
+    for i in range(len(powers) - 3, -1, -1):
+        longer = _reach_step(reach, powers[i])
+        if not longer.all():
+            reach, k = longer, k + 2**i
+    return k + 1
 
 
 def girth(graph: Graph) -> int | None:
     """Length of a shortest cycle, None when acyclic."""
     n = graph.vertex_count
+    # triangle scan first, edge by edge; almost every cyclic graph here has one
+    if any(meet.any() for _, _, meet in _rows_meet(graph.adj, graph.adj, graph.adj)):
+        return 3
     nbrs = graph.neighbors
-    # triangle scan first; almost every cyclic graph here has one
-    for u in range(n):
-        for v in nbrs[u]:
-            if v > u and not nbrs[u].isdisjoint(nbrs[v]):
-                return 3
     best: int | None = None
     for s in range(n):
         dist = [-1] * n
@@ -166,20 +193,6 @@ def girth(graph: Graph) -> int | None:
 def invariants(graph: Graph) -> InvariantReport:
     n = graph.vertex_count
     e = graph.edge_count
-    degenerate = n < 2
-    if degenerate:
-        return InvariantReport(
-            vertex_count=n,
-            edge_count=0,
-            connected=True,
-            diameter=0,
-            girth=None,
-            complete=True,
-            totally_disconnected=True,
-            bipartite_parts=None,
-            degree_sequence=tuple(graph.degree_sequence()),
-            degenerate=True,
-        )
     diam = diameter(graph)
     return InvariantReport(
         vertex_count=n,
@@ -191,38 +204,21 @@ def invariants(graph: Graph) -> InvariantReport:
         totally_disconnected=e == 0,
         bipartite_parts=is_complete_bipartite(graph),
         degree_sequence=tuple(graph.degree_sequence()),
-        degenerate=False,
+        degenerate=n < 2,
     )
 
 
 def is_complete_bipartite(graph: Graph) -> tuple[int, int] | None:
-    """Part sizes (m, n) with m <= n iff the graph is exactly K^{m,n}."""
+    """Part sizes (m, n) with m <= n iff the graph is exactly K^{m,n}: the
+    neighbors of vertex 0 are one part, and then adjacency is part inequality."""
     n = graph.vertex_count
     if n < 2:
         return None
-    nbrs = graph.neighbors
-    color = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    seen = 1
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if color[v] < 0:
-                color[v] = 1 - color[u]
-                seen += 1
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None  # odd cycle
-    if seen < n:
-        return None  # disconnected
-    a = color.count(0)
-    b = n - a
-    if a == 0 or b == 0:
+    side = graph.adj[0]
+    b = int(np.count_nonzero(side))
+    if b == 0 or not np.array_equal(graph.adj, side[:, None] ^ side[None, :]):
         return None
-    if graph.edge_count != a * b:
-        return None
-    return (min(a, b), max(a, b))
+    return (min(n - b, b), max(n - b, b))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +258,7 @@ def is_isomorphic(
         return True, {}
 
     gn, hn = g.neighbors, h.neighbors
+    ga, ha = g.adj.tolist(), h.adj.tolist()
     gc = _refine_colors(gn, [len(s) for s in gn])
     hc = _refine_colors(hn, [len(s) for s in hn])
     if sorted(gc) != sorted(hc):
@@ -282,7 +279,7 @@ def is_isomorphic(
             ok = True
             for w in order[:pos]:
                 # edges and non-edges among mapped vertices must both carry over
-                if (w in gn[u]) != (mapping[w] in hn[v]):
+                if ga[u][w] != ha[v][mapping[w]]:
                     ok = False
                     break
             if ok:

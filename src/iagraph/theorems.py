@@ -395,16 +395,14 @@ def _check_embed(ctx: _RingContext) -> TheoremCheck:
     if ctx.ring.order > ctx.caps.total:
         raise CapExceededError(f"order {ctx.ring.order} above total cap {ctx.caps.total}")
     raw = ctx.ring.annihilator_classes(ctx.caps.element)
-    edges = ctx.ia.edges()
-    if not edges:
+    if not ctx.ia.edge_count:
         return TheoremCheck(
             "T2.embed", applicable=True, passed=True, reason="no edges (vacuous)"
         )
     # One scan of Z*(R) x Z*(R) in class order.  A hit is a sum outside Z(R) on an
     # edge (i, j), i < j; the least (i, j, position of x, position of y) is the
     # first hit of the loop over edges() and the members of each class.
-    on_edge = np.zeros((len(raw), len(raw)), dtype=bool)
-    on_edge[tuple(np.array(edges).T)] = True
+    on_edge = np.triu(ctx.ia.adj, 1)
     members = [x for _, xs in raw for x in xs]
     cls = np.repeat(np.arange(len(raw)), [len(xs) for _, xs in raw])
     firsts = []
@@ -657,7 +655,9 @@ class _CheckIds(tuple):
 def resolve_check_ids(checks) -> tuple[str, ...]:
     if type(checks) is _CheckIds:
         return checks
-    if checks in (None, "all") or checks == ("all",) or checks == ["all"]:
+    if isinstance(checks, str):
+        checks = (checks,)
+    if checks is None or checks == ("all",) or checks == ["all"]:
         return _CheckIds(CHECK_IDS)
     ids = _CheckIds(checks)
     if not ids:

@@ -413,6 +413,9 @@ def test_graph_rejects_loops_and_duplicate_labels():
         Graph(labels=["a", "b"], edges=[(0, 0)])
     with pytest.raises(ValueError):
         Graph(labels=["a", "a"], edges=[])
+    for bad in ([(0, 2)], [(-1, 0)], [(0, 1, 1)]):
+        with pytest.raises(ValueError):
+            Graph(labels=["a", "b"], edges=bad)
 
 
 def test_graph_edges_sorted_and_deduped():
@@ -596,3 +599,35 @@ def test_json_output_golden():
         "edges": [[0, 2], [0, 3], [1, 3], [2, 3]],
     }
     json.dumps(payload)  # must be serializable as-is
+
+
+def sorted_pair_dot(graph, name="IA"):
+    """DOT rendered the way it was before the matrix serializer: sorted labels,
+    then the edges as sorted label pairs, sorted."""
+    lines = [f"graph {name} {{"] + [f'  "{label}";' for label in sorted(graph.labels)]
+    lines += [f'  "{a}" -- "{b}";' for a, b in edge_label_pairs(graph)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_serialization_matches_sorted_pair_rendering():
+    """Label order differs from index order: "10" sorts before "2" in Z720's
+    divisor labels, "(0,10)" before "(0,2)" in Z2xZ12."""
+    graphs = [
+        zn_symbolic_from_n(720),
+        build_total(product_ring("Z2xZ8")),
+        build_torsion(product_ring("Z4xZ4")),
+        build_torsion(product_ring("Z2xZ12")),
+        build_ia_domain_product(6),
+    ]
+    for graph in (graphs[0], graphs[3]):
+        assert list(graph.labels) != sorted(graph.labels)
+    for graph in graphs:
+        assert graph.edge_count > 0
+        assert graph_to_dot(graph, "G") == sorted_pair_dot(graph, "G")
+        payload = graph_to_json_dict(graph, "R", "kind")
+        assert payload["edges"] == sorted(
+            sorted([graph.index(a), graph.index(b)]) for a, b in edge_label_pairs(graph)
+        )
+        assert payload["vertices"] == [
+            {"label": lab, "class_size": size} for lab, size in zip(graph.labels, graph.class_sizes)
+        ]

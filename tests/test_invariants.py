@@ -1,8 +1,10 @@
 """Invariant engine: distances, girth, complete-bipartite detection, isomorphism."""
 
+import importlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from iagraph.graphs import Graph, build_ia, build_ia_domain_product, zn_symbolic_from_n
@@ -17,6 +19,9 @@ from iagraph.invariants import (
 from iagraph.rings import CapExceededError, product_ring
 
 from conftest import enumerated_girth, floyd_warshall_diameter
+
+# the package namespace re-exports the function invariants under the module's name
+invariants_module = importlib.import_module("iagraph.invariants")
 
 
 def path_graph(n):
@@ -317,3 +322,168 @@ def test_invariants_match_networkx_on_random_graphs():
             assert verdict == expected
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the blocked boolean product and the matrix invariants against references
+
+# 1 byte: one row per block; 4 and 16 KiB: blocks of a few rows on the larger
+# graphs here; the default: blocks that start near 4096 entries and double
+BLOCK_BYTES = [1, 1 << 12, 1 << 14, invariants_module._PRODUCT_BLOCK_BYTES]
+
+
+def random_adjacency(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T
+
+
+def disjoint_union(a, b):
+    n, m = len(a), len(b)
+    out = np.zeros((n + m, n + m), dtype=bool)
+    out[:n, :n], out[n:, n:] = a, b
+    return out
+
+
+def matrix_graph(adj):
+    return Graph([str(i) for i in range(len(adj))], adj)
+
+
+@pytest.fixture(scope="module")
+def kernel_population():
+    """Random graphs on sizes around the 64-bit word boundary, disconnected
+    unions, edgeless graphs and long paths, with their oracle diameter and
+    (up to 30 vertices) girth."""
+    rng = np.random.default_rng(7)
+    graphs = []
+    for n in (2, 3, 7, 63, 64, 65, 130):
+        for density in (0.02, 0.1, 0.4, 0.9):
+            graphs.append(matrix_graph(random_adjacency(rng, n, density)))
+    for n, m in ((3, 4), (20, 45), (1, 70)):
+        graphs.append(matrix_graph(disjoint_union(random_adjacency(rng, n, 0.5), random_adjacency(rng, m, 0.3))))
+    graphs += [Graph([str(i) for i in range(n)], []) for n in (2, 5, 66)]
+    graphs += [path_graph(n) for n in (65, 140)]
+    return [
+        (g, floyd_warshall_diameter(g), enumerated_girth(g) if g.vertex_count <= 30 else None)
+        for g in graphs
+    ]
+
+
+def reference_bipartite_parts(graph):
+    """Every 2-partition of the vertices tried against K^{m,n}."""
+    n = graph.vertex_count
+    edges = set(graph.edges())
+    for mask in range(1, 2 ** (n - 1)):
+        part = [(mask >> v) & 1 for v in range(n)]
+        if edges == {(i, j) for i in range(n) for j in range(i + 1, n) if part[i] != part[j]}:
+            m = sum(part)
+            return (min(m, n - m), max(m, n - m))
+    return None
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_rows_meet_matches_pair_loop(block_bytes, monkeypatch):
+    """The strict upper entries of the mask, row-major, each with its row test."""
+    monkeypatch.setattr(invariants_module, "_PRODUCT_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 64, 65, 129):
+        a, b = rng.random((n, n)) < 0.05, rng.random((n, n)) < 0.3
+        mask = rng.random((n, n)) < 0.5
+        got = list(invariants_module._rows_meet(a, b, mask))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
+        assert [(i, j) for bi, bj, _ in got for i, j in zip(bi.tolist(), bj.tolist())] == pairs
+        meets = [m for _, _, meet in got for m in meet.tolist()]
+        assert meets == [bool((a[i] & b[j]).any()) for i, j in pairs]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_reach_step_matches_integer_product(block_bytes, monkeypatch, kernel_population):
+    """Powers of I | A, and a square, against the integer matrix product (fine
+    at test sizes; numpy has no BLAS for integer matmul)."""
+    monkeypatch.setattr(invariants_module, "_PRODUCT_BLOCK_BYTES", block_bytes)
+    for graph, _, _ in kernel_population:
+        step = graph.adj | np.eye(graph.vertex_count, dtype=bool)
+        as_int = step.astype(np.int64)
+        reach = step
+        for _ in range(3):
+            expected = (reach.astype(np.int64) @ as_int) > 0
+            reach = invariants_module._reach_step(reach, step)
+            assert np.array_equal(reach, expected), graph
+        square = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        assert np.array_equal(invariants_module._reach_step(reach, reach), square), graph
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_matrix_invariants_match_oracles(block_bytes, monkeypatch, kernel_population):
+    monkeypatch.setattr(invariants_module, "_PRODUCT_BLOCK_BYTES", block_bytes)
+    for graph, diam, cycle in kernel_population:
+        assert diameter(graph) == diam, graph
+        if graph.vertex_count <= 30:
+            assert girth(graph) == cycle, graph
+    # every diameter up to 39, so each bit pattern of the lifting occurs
+    assert [diameter(path_graph(n)) for n in range(2, 41)] == list(range(1, 40))
+    assert [diameter(cycle_graph(n)) for n in range(3, 41)] == [n // 2 for n in range(3, 41)]
+    assert girth(cycle_graph(70)) == 70
+
+
+def test_complete_bipartite_matches_partition_search():
+    rng = np.random.default_rng(5)
+    graphs = [matrix_graph(random_adjacency(rng, n, d)) for n in range(2, 9) for d in (0.3, 0.7)]
+    for m in range(1, 5):
+        for k in range(m, 6):
+            base = complete_bipartite_graph(m, k)
+            perm = rng.permutation(m + k)
+            graphs.append(matrix_graph(base.adj[np.ix_(perm, perm)]))
+            for i, j in [(0, 1), (0, m), (m, m + k - 1)]:
+                if i != j:
+                    flipped = base.adj.copy()
+                    flipped[i, j] = flipped[j, i] = not flipped[i, j]
+                    graphs.append(matrix_graph(flipped))
+    graphs.append(matrix_graph(disjoint_union(complete_bipartite_graph(1, 2).adj, complete_bipartite_graph(1, 1).adj)))
+    verdicts = [is_complete_bipartite(g) for g in graphs]
+    assert verdicts == [reference_bipartite_parts(g) for g in graphs]
+    assert sum(v is not None for v in verdicts) >= 15
+
+
+def test_matrix_invariants_match_networkx(kernel_population):
+    nx = pytest.importorskip("networkx")
+    for graph, _, _ in kernel_population:
+        ref = nx.Graph()
+        ref.add_nodes_from(range(graph.vertex_count))
+        ref.add_edges_from(graph.edges())
+        assert diameter(graph) == (nx.diameter(ref) if nx.is_connected(ref) else None)
+        assert girth(graph) == (None if nx.girth(ref) == float("inf") else nx.girth(ref))
+        parts = is_complete_bipartite(graph)
+        if parts is not None:
+            assert nx.is_bipartite(ref) and nx.is_connected(ref)
+            assert graph.edge_count == parts[0] * parts[1]
+
+
+# ---------------------------------------------------------------------------
+# the matrix Graph constructor
+
+
+def test_graph_from_matrix_equals_graph_from_pairs():
+    rng = np.random.default_rng(9)
+    adj = random_adjacency(rng, 40, 0.2)
+    a = matrix_graph(adj)
+    b = Graph(a.labels, a.edges())
+    assert np.array_equal(a.adj, b.adj)
+    assert a.neighbors == b.neighbors == [sorted(np.flatnonzero(row).tolist()) for row in adj]
+    assert a.edge_count == len(a.edges()) == int(adj.sum()) // 2
+    assert a.degree_sequence() == sorted(adj.sum(axis=1).tolist())
+
+
+def test_graph_rejects_bad_matrices():
+    labels = ["a", "b", "c"]
+    asymmetric = np.zeros((3, 3), dtype=bool)
+    asymmetric[0, 1] = True
+    with pytest.raises(ValueError, match="not symmetric"):
+        Graph(labels, asymmetric)
+    with pytest.raises(ValueError, match="shape"):
+        Graph(labels, np.zeros((3, 4), dtype=bool))
+    with pytest.raises(ValueError, match="shape"):
+        Graph(labels, np.zeros((2, 2), dtype=bool))
+    looped = np.zeros((3, 3), dtype=bool)
+    looped[2, 2] = True
+    with pytest.raises(ValueError, match="loop at vertex 2"):
+        Graph(labels, looped)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from iagraph.graphs import build_total
+from iagraph.graphs import build_torsion, build_total
 from iagraph.rings import (
     CapExceededError,
     ProductRing,
@@ -712,6 +712,19 @@ def test_engine_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_torsion_build_memory_is_bounded():
+    """The torsion graph of Z2xZ2048 (3071 vertices, 3.7M edges) peaks at about
+    91 MB: one int64 lcm table per coordinate plus the adjacency matrix."""
+    tracemalloc.start()
+    try:
+        graph = build_torsion(product_ring("Z2xZ2048"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (graph.vertex_count, graph.edge_count) == (3071, 3665409)
+    assert peak < 128 * 2**20, peak
 
 
 def test_annihilator_classes_cached_and_capped():

@@ -163,6 +163,16 @@ def test_unknown_check_id_rejected():
         check_ring("Z12", checks=("T9.bogus",))
 
 
+def test_single_check_id_string_is_one_id():
+    assert resolve_check_ids("T3.girth") == ("T3.girth",)
+    for ring in ("Z12", "Z4xZ4"):
+        one, tupled = check_ring(ring, "T3.girth"), check_ring(ring, ("T3.girth",))
+        assert (one.ring, one.checks) == (tupled.ring, tupled.checks)
+        assert [c.id for c in one.checks] == ["T3.girth"]
+    with pytest.raises(ValueError, match="unknown check id 'T9.bogus'"):
+        check_ring("Z12", "T9.bogus")
+
+
 def test_summary_counts_match():
     report = check_ring("Z12")
     s = report.summary()
