@@ -28,7 +28,7 @@ from .graphs import (
     build_ia_domain_product,
     build_torsion,
     build_total,
-    graph_to_dot,
+    dot_rows,
     graph_to_json_dict,
     zn_symbolic_from_n,
 )
@@ -96,25 +96,38 @@ def _build_graph(kind: str, ring_text: str | None, k: int | None, caps: Caps):
     raise RingSpecError(f"unknown graph kind {kind!r}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks, out_path: str | None) -> None:
+    """Write the text chunks, as they come, to out_path or to stdout."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValueError(f"cannot write output: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _json_chunks(payload) -> tuple[str, str]:
+    """JSON text and its newline as two chunks: a large text is not copied to append it."""
+    return json.dumps(payload, indent=2), "\n"
+
+
+def _csv_writer(header):
+    """A CSV writer over a text buffer, the header row written."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    return buf, writer
 
 
 def _cmd_build(args) -> int:
     caps = _caps_from_args(args)
     graph, ring_id = _build_graph(args.graph, args.ring, args.k, caps)
     if args.format == "dot":
-        text = graph_to_dot(graph, DOT_NAMES.get(args.graph, "IA"))
+        _emit(dot_rows(graph, DOT_NAMES.get(args.graph, "IA")), args.out)
     else:
-        text = json.dumps(graph_to_json_dict(graph, ring_id, args.graph), indent=2) + "\n"
-    _emit(text, args.out)
+        _emit(_json_chunks(graph_to_json_dict(graph, ring_id, args.graph)), args.out)
     return 0
 
 
@@ -123,13 +136,11 @@ def _cmd_invariants(args) -> int:
     graph, _ = _build_graph(args.graph, args.ring, args.k, caps)
     report = invariants(graph)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(report.csv_header())
+        buf, writer = _csv_writer(report.csv_header())
         writer.writerow(report.csv_row())
-        _emit(buf.getvalue(), args.out)
+        _emit((buf.getvalue(),), args.out)
     else:
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+        _emit(_json_chunks(report.to_json_dict()), args.out)
     return 0
 
 
@@ -138,13 +149,11 @@ def _cmd_verify(args) -> int:
     checks = resolve_check_ids(_split_checks(args.checks))
     report = check_ring(args.ring, checks, caps)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_HEADER)
+        buf, writer = _csv_writer(CSV_HEADER)
         writer.writerows(report_csv_rows(report))
-        _emit(buf.getvalue(), args.out)
+        _emit((buf.getvalue(),), args.out)
     else:
-        _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+        _emit(_json_chunks(report.to_json_dict()), args.out)
     return 1 if report.failures else 0
 
 
@@ -164,19 +173,14 @@ def _cmd_sweep(args) -> int:
         caps=caps,
         jobs=args.jobs,
     )
-    rows: list[list[str]] = []
-    sink = None
     if args.format == "csv":
-        sink = lambda report: rows.extend(report_csv_rows(report))  # noqa: E731
-    aggregate = sweep(config, report_sink=sink)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-        _emit(buf.getvalue(), args.out)
+        # rows are buffered as reports arrive: the sweep can still fail (exit 2 or 3)
+        buf, writer = _csv_writer(CSV_HEADER)
+        aggregate = sweep(config, lambda report: writer.writerows(report_csv_rows(report)))
+        _emit((buf.getvalue(),), args.out)
     else:
-        _emit(json.dumps(aggregate.to_json_dict(), indent=2) + "\n", args.out)
+        aggregate = sweep(config)
+        _emit(_json_chunks(aggregate.to_json_dict()), args.out)
     if not aggregate.ring_count:
         print("warning: the sweep visited no rings", file=sys.stderr)
     elif all(s.skipped == aggregate.ring_count for s in aggregate.stats.values()):
@@ -199,7 +203,7 @@ def _cmd_iso(args) -> int:
         "isomorphic": verdict,
         "mapping": mapping,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json_chunks(payload), args.out)
     if args.expect == "iso" and not verdict:
         return 1
     return 0

@@ -30,7 +30,10 @@ from .rings import (
     DEFAULT_ELEMENT_CAP,
     Element,
     FiniteRing,
+    factorize,
     format_element,
+    is_prime,
+    shared_support,
 )
 
 DEFAULT_GRAPH_VERTEX_CAP = 4096
@@ -196,15 +199,13 @@ def build_total(
 
 
 def _valuation_graph(exponents, name) -> Graph:
-    """Compressed graph of prod Z_{p_j^e_j} on its valuation tuples, adjacency one
-    boolean outer product per coordinate.  Vertices are sorted by name(v), an int
-    or a str, and labeled str(name(v)); name must sort the all-0 and all-e tuples,
-    which are not vertices, first and last."""
+    """Compressed graph of prod Z_{p_j^e_j} on its valuation tuples, adjacent iff
+    their supports meet.  Vertices are sorted by name(v), an int or a str, and
+    labeled str(name(v)); name must sort the all-0 and all-e tuples, which are
+    not vertices, first and last."""
     named = sorted((name(v), v) for v in cartesian(*(range(e + 1) for e in exponents)))[1:-1]
     tuples = np.array([v for _, v in named], dtype=np.int64).reshape(len(named), len(exponents))
-    adj = np.zeros((len(named), len(named)), dtype=bool)
-    for column in (tuples > 0).T:
-        adj |= np.logical_and.outer(column, column)
+    adj = shared_support(tuples > 0)
     np.fill_diagonal(adj, False)
     return Graph([str(key) for key, _ in named], adj)
 
@@ -222,7 +223,7 @@ def build_ia_zn_symbolic(
         raise ValueError("empty factorization")
     primes = sorted(factorization)
     for p in primes:
-        if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if factorization[p] < 1:
             raise ValueError(f"exponent {factorization[p]} below 1 for prime {p}")
@@ -238,8 +239,6 @@ def build_ia_zn_symbolic(
 
 
 def zn_symbolic_from_n(n: int, vertex_cap: int = DEFAULT_GRAPH_VERTEX_CAP) -> Graph:
-    from .rings import factorize
-
     return build_ia_zn_symbolic(dict(factorize(n)), vertex_cap)
 
 
@@ -266,22 +265,28 @@ def build_ia_domain_product(
 # serialization
 
 
-def graph_to_dot(graph: Graph, name: str = "IA") -> str:
-    """DOT text: sorted vertex lines, then each edge once in sorted label order.
+def dot_rows(graph: Graph, name: str = "IA"):
+    """DOT text in rows as they are rendered: the header, the sorted vertex lines,
+    then each edge once in sorted label order, and the closing brace.
 
-    Row a of the upper triangle of the matrix permuted into label order holds,
-    ascending, the edges whose lesser label is the a-th; each row is one join."""
+    Row a of the matrix permuted into label order holds, from column a + 1 on,
+    ascending, the edges whose lesser label is the a-th; they make one row."""
     order = sorted(range(graph.vertex_count), key=graph.labels.__getitem__)
     quoted = [f'"{graph.labels[i]}"' for i in order]
     tails = [f"{q};\n" for q in quoted]
-    parts = [f"graph {name} {{\n"] + [f"  {tail}" for tail in tails]
-    for q, row in zip(quoted, np.triu(graph.adj[np.ix_(order, order)], 1)):
-        ends = np.flatnonzero(row).tolist()
+    yield f"graph {name} {{\n"
+    yield from (f"  {tail}" for tail in tails)
+    for a, (q, row) in enumerate(zip(quoted, graph.adj[np.ix_(order, order)])):
+        ends = (np.flatnonzero(row[a + 1 :]) + (a + 1)).tolist()
         if ends:
             head = f"  {q} -- "
-            parts.append(head + head.join(map(tails.__getitem__, ends)))
-    parts.append("}\n")
-    return "".join(parts)
+            yield head + head.join(map(tails.__getitem__, ends))
+    yield "}\n"
+
+
+def graph_to_dot(graph: Graph, name: str = "IA") -> str:
+    """The whole DOT text of dot_rows as one string."""
+    return "".join(dot_rows(graph, name))
 
 
 def graph_to_json_dict(graph: Graph, ring: str, graph_kind: str) -> dict:

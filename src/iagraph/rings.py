@@ -32,11 +32,13 @@ brute-force engine on ``FiniteRing``:
 
 Per variant come the Z(R) mask, the class code, opaque annihilator keys and
 their meet matrix.  Product rings use closed forms on the ``AnnKey`` g,
-g[i] = n_i // gcd(n_i, x_i): x is a zero-divisor iff some g[i] < n_i, equal
-keys mean equal annihilators, and two annihilators meet beyond 0 iff
-lcm(g[i], h[i]) < n_i for some i.  Subrings read the zero-product matrix,
-since their annihilators need not be principal per coordinate; the
-brute-force rows are also the oracle the closed forms are tested against.
+g[i] = n_i // gcd(n_i, x_i): x is a zero-divisor iff some g[i] < n_i, and
+equal keys mean equal annihilators.  ann(x) and ann(y) meet beyond 0 iff
+some prime p | n_i divides both n_i // g[i] and n_i // h[i], the CRT rule
+``shared_support`` evaluates for the symbolic graphs too.  Subrings read the
+zero-product matrix, since their annihilators need not be principal per
+coordinate; the brute-force rows are also the oracle the closed forms are
+tested against.
 """
 
 from __future__ import annotations
@@ -122,6 +124,16 @@ def is_prime_power(n: int) -> bool:
 def big_omega(n: int) -> int:
     """Number of prime factors of n counted with multiplicity."""
     return sum(e for _, e in factorize(n))
+
+
+def shared_support(support: np.ndarray) -> np.ndarray:
+    """Boolean matrix: [i, j] iff rows i and j of support are true in a common
+    column, the OR of the columns' outer products.  By CRT, with a column per
+    local prime, two classes of a product ring meet iff they share one."""
+    meet = np.zeros((len(support), len(support)), dtype=bool)
+    for column in support.T:
+        meet[column] |= column
+    return meet
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +582,18 @@ class ProductRing(FiniteRing):
         return [tuple(n // gcd(a, n) for a, n in zip(x, mods)) for x in xs]
 
     def ann_meet_matrix(self, keys) -> np.ndarray:
+        """In Z_n, ann(x) meets ann(y) in (lcm(g, h)), nonzero iff a prime p | n divides
+        both n // g = gcd(n, x) and n // h: one support column per coordinate and p."""
         keys = np.array(keys, dtype=np.int64).reshape(len(keys), self.arity)
-        meet = np.zeros((len(keys), len(keys)), dtype=bool)
-        for c, n in enumerate(self.mods):
-            meet |= np.lcm.outer(keys[:, c], keys[:, c]) < n
-        return meet
+        columns = [
+            (n // keys[:, c]) % p == 0
+            for c, n in enumerate(self.mods)
+            for p, _ in factorize(n)
+        ]
+        return shared_support(np.stack(columns, axis=1))
 
     def ann_intersection_nonzero(self, a: AnnKey, b: AnnKey) -> bool:
-        """ann(x) and ann(y) meet beyond 0 iff lcm of generators stays proper somewhere."""
+        """ann(x) and ann(y) meet beyond 0 iff some gcd(n_i, x_i), gcd(n_i, y_i) share a prime."""
         if len(a) != self.arity or len(b) != self.arity:
             raise ValueError("key arity mismatch")
         return bool(self.ann_meet_matrix([a, b])[0, 1])

@@ -34,6 +34,7 @@ its witness.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -44,9 +45,10 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .graphs import Graph, build_ia, build_ia_zn_symbolic, build_torsion
-from .invariants import InvariantReport, diameter, invariants, is_isomorphic
+from .graphs import DEFAULT_GRAPH_VERTEX_CAP, Graph, build_ia, build_ia_zn_symbolic, build_torsion
+from .invariants import DEFAULT_ISO_VERTEX_CAP, InvariantReport, diameter, invariants, is_isomorphic
 from .rings import (
+    DEFAULT_ELEMENT_CAP,
     CapExceededError,
     ProductRing,
     RingSpec,
@@ -58,38 +60,17 @@ from .rings import (
     parse_ring_spec,
 )
 
-CHECK_IDS = (
-    "T2.ideal",
-    "T2.thann",
-    "T2.goldie",
-    "T2.subring",
-    "T2.no-Kmn",
-    "T2.embed",
-    "T3.vnr-or-nil",
-    "T3.girth",
-    "T3.diam3",
-    "T3.card2",
-    "T3.torsion-complete",
-    "T3.torsion-diam",
-    "L4.gcd-adj",
-    "L4.three-primes",
-    "T5.two-domains",
-    "T5.n-domains",
-    "T5.artinian-local",
-    "T5.mixed",
-)
-
 
 @dataclass(frozen=True)
 class Caps:
     """Work bounds per check family; anything above is skipped, never guessed."""
 
-    element: int = 5000  # brute-force element enumeration (element-level checks)
+    element: int = DEFAULT_ELEMENT_CAP  # brute-force element enumeration (element-level checks)
     torsion: int = 300  # ring order for torsion-graph checks
     total: int = 200  # ring order for total-graph embedding checks
     subring: int = 500  # ring order for the generated-subring check
-    iso: int = 64  # vertex count for isomorphism testing
-    graph: int = 4096  # vertex count for graph construction
+    iso: int = DEFAULT_ISO_VERTEX_CAP  # vertex count for isomorphism testing
+    graph: int = DEFAULT_GRAPH_VERTEX_CAP  # vertex count for graph construction
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -171,18 +152,16 @@ class RingReport:
 
 
 def report_csv_rows(report: RingReport) -> list[list[str]]:
-    rows = []
-    for c in report.checks:
-        rows.append(
-            [
-                report.ring,
-                c.id,
-                str(c.applicable).lower(),
-                "" if c.passed is None else str(c.passed).lower(),
-                json.dumps(c.witness, sort_keys=True) if c.witness else "",
-            ]
-        )
-    return rows
+    return [
+        [
+            report.ring,
+            c.id,
+            str(c.applicable).lower(),
+            "" if c.passed is None else str(c.passed).lower(),
+            json.dumps(c.witness, sort_keys=True) if c.witness else "",
+        ]
+        for c in report.checks
+    ]
 
 
 CSV_HEADER = ["ring", "check_id", "applicable", "passed", "witness"]
@@ -646,6 +625,7 @@ _CHECK_FUNCS = {
     "T5.artinian-local": _check_artinian_local,
     "T5.mixed": _check_mixed,
 }
+CHECK_IDS = tuple(_CHECK_FUNCS)
 
 
 class _CheckIds(tuple):
@@ -828,13 +808,7 @@ def enumerate_product_specs(max_order: int, max_factors: int) -> list[RingSpec]:
 
 
 def _first_primes(k: int) -> list[int]:
-    out = []
-    cand = 2
-    while len(out) < k:
-        if all(cand % p for p in out):
-            out.append(cand)
-        cand += 1
-    return out
+    return list(itertools.islice(filter(is_prime, itertools.count(2)), k))
 
 
 def _sweep_items(config: SweepConfig):

@@ -4,12 +4,13 @@ import csv
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
 from iagraph import theorems
 from iagraph.cli import main
-from iagraph.graphs import build_ia_zn_symbolic
+from iagraph.graphs import build_ia_domain_product, build_ia_zn_symbolic, graph_to_dot
 from iagraph.invariants import invariants
 from iagraph.theorems import (
     _SIGNATURE_CACHE,
@@ -91,6 +92,21 @@ def test_build_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == EXPECTED_Z12_DOT
+
+
+def test_build_streams_dot_rows(tmp_path):
+    """The 15.8 MB of DOT text of domain-product(10) are written as they are
+    rendered, never held whole."""
+    target = tmp_path / "dp10.dot"
+    tracemalloc.start()
+    try:
+        code = main(["build", "--graph", "domain-product", "--k", "10", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20, peak
+    assert target.read_text() == graph_to_dot(build_ia_domain_product(10))
 
 
 def test_build_determinism(capsys):
@@ -463,3 +479,19 @@ def test_symbolic_cache_mismatch_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: symbolic cache mismatch at n=199\n"
+
+
+def test_signature_cache_mismatch_in_csv_sweep_exits_3(tmp_path, capsys, monkeypatch):
+    """CSV rows are buffered while the sweep runs: a self-check failure leaves
+    stdout empty and creates no --out file."""
+    monkeypatch.setattr(theorems, "_CROSS_CHECKED", set())
+    monkeypatch.setitem(_SIGNATURE_CACHE, (1, 1), invariants(build_ia_zn_symbolic({2: 3})))
+    target = tmp_path / "sweep.csv"
+    for out_args in ((), ("--out", str(target))):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "products", "--max", "30", "--format", "csv", *out_args
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: signature cache mismatch on invariants at Z2xZ2\n"
+    assert not target.exists()

@@ -278,9 +278,10 @@ def test_symbolic_prime_power_complete():
 def test_symbolic_rejects_bad_input():
     with pytest.raises(ValueError):
         build_ia_zn_symbolic({})
-    with pytest.raises(ValueError):
-        build_ia_zn_symbolic({4: 1})
-    with pytest.raises(ValueError):
+    for p in (4, 1, 0, 9, 1001):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            build_ia_zn_symbolic({p: 1})
+    with pytest.raises(ValueError, match="exponent 0 below 1 for prime 2"):
         build_ia_zn_symbolic({2: 0})
 
 

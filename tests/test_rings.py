@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from iagraph.graphs import build_torsion, build_total
@@ -21,7 +22,7 @@ from iagraph.rings import (
     product_ring,
     radical,
 )
-from iagraph.theorems import Caps, _RingContext
+from iagraph.theorems import Caps, _RingContext, enumerate_product_specs
 
 from conftest import (
     oracle_add,
@@ -285,6 +286,39 @@ def test_ann_intersection_matches_set_intersection(small_ring_ids):
                 a = oracle_annihilator(ring.spec.factors, classes[i][1][0])
                 b = oracle_annihilator(ring.spec.factors, classes[j][1][0])
                 assert fast == (a & b != {zero}), (rid, i, j)
+
+
+def _lcm_meet(ring, keys):
+    """Reference meet rule: in Z_n, ann(x) n ann(y) = (lcm(g, h)) for the keys g
+    and h, nonzero iff lcm(g, h) < n; one int64 lcm table per coordinate."""
+    keys = np.array(keys, dtype=np.int64).reshape(len(keys), ring.arity)
+    meet = np.zeros((len(keys), len(keys)), dtype=bool)
+    for c, n in enumerate(ring.spec.factors):
+        meet |= np.lcm.outer(keys[:, c], keys[:, c]) < n
+    return meet
+
+
+def test_support_meet_rule_matches_lcm_rule():
+    """Every element key of every product of order <= 120 with up to 3 factors,
+    and of products whose factors are not prime powers."""
+    specs = [RingSpec((n,)) for n in range(2, 121)] + enumerate_product_specs(120, 3)
+    specs += [RingSpec((12, 30)), RingSpec((6, 10, 15)), RingSpec((360, 10))]
+    for spec in specs:
+        ring = ProductRing(spec)
+        keys = ring.ann_keys(ring.elements(cap=None))
+        assert np.array_equal(ring.ann_meet_matrix(keys), _lcm_meet(ring, keys)), spec
+
+
+def test_support_meet_rule_matches_lcm_rule_past_int32():
+    ring = product_ring("Z1000000000000")
+    n = ring.spec.factors[0]
+    xs = [(d % n,) for d in divisors(n)] + [(x,) for x in (3, 7, 123456789, n - 1, n - 2)]
+    keys = ring.ann_keys(xs)
+    assert np.array_equal(ring.ann_meet_matrix(keys), _lcm_meet(ring, keys))
+    assert ring.ann_intersection_nonzero(ring.annihilator_key((2,)), ring.annihilator_key((n - 2,)))
+    assert not ring.ann_intersection_nonzero(
+        ring.annihilator_key((2**12,)), ring.annihilator_key((5**12,))
+    )
 
 
 def test_intersection_contained_in_sum_annihilator(small_ring_ids):
@@ -716,7 +750,7 @@ def test_engine_memory_is_bounded():
 
 def test_torsion_build_memory_is_bounded():
     """The torsion graph of Z2xZ2048 (3071 vertices, 3.7M edges) peaks at about
-    91 MB: one int64 lcm table per coordinate plus the adjacency matrix."""
+    19 MB: the 9 MB adjacency matrix plus the boolean rows the support meet ORs in."""
     tracemalloc.start()
     try:
         graph = build_torsion(product_ring("Z2xZ2048"))
@@ -724,7 +758,7 @@ def test_torsion_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert (graph.vertex_count, graph.edge_count) == (3071, 3665409)
-    assert peak < 128 * 2**20, peak
+    assert peak < 32 * 2**20, peak
 
 
 def test_annihilator_classes_cached_and_capped():

@@ -219,6 +219,20 @@ def test_caps_from_env():
     assert Caps.from_env({}) == Caps()
 
 
+def test_caps_defaults_are_the_module_defaults():
+    from iagraph.graphs import DEFAULT_GRAPH_VERTEX_CAP
+    from iagraph.invariants import DEFAULT_ISO_VERTEX_CAP
+    from iagraph.rings import DEFAULT_ELEMENT_CAP
+
+    caps = Caps()
+    assert (caps.element, caps.graph, caps.iso) == (5000, 4096, 64)
+    assert (caps.element, caps.graph, caps.iso) == (
+        DEFAULT_ELEMENT_CAP,
+        DEFAULT_GRAPH_VERTEX_CAP,
+        DEFAULT_ISO_VERTEX_CAP,
+    )
+
+
 def test_caps_must_be_positive_integers():
     for bad in (0, -1, 2.5, True):
         with pytest.raises(ValueError):
@@ -474,6 +488,7 @@ def test_domain_products_sweep():
     assert agg.total_failures == 0
     assert agg.stats["T5.two-domains"].applicable == 1
     assert agg.stats["T5.n-domains"].applicable == 2
+    assert theorems._first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_sweep_determinism():
