@@ -26,9 +26,13 @@ its brute-force graph and its closed forms against the engine's scans; a
 zn-symbolic sweep rebuilds the divisor graph of every n divisible by 199.
 A mismatch raises ``SelfCheckError``.
 
-Sweeps enumerate ring families deterministically, run a selected set of
-checks per ring, and aggregate pass/fail/skip counts; every failure keeps
-its witness.
+Sweeps enumerate ring families deterministically and evaluate each ring
+shape once: the signature of each factor, in factor order, or the signature
+alone if no selected check reads the factors.  A later ring reuses the
+graph-side checks of its shape's first ring if none failed or was skipped,
+since failures and skips name their ring.  The element-level checks,
+L4.gcd-adj and the 199 rebuild run on every ring, and the counts are
+aggregated in ring order; every failure keeps its witness.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class Caps:
         return Caps(**values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremCheck:
     id: str
     applicable: bool
@@ -119,7 +123,7 @@ class TheoremCheck:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class RingReport:
     ring: str
     checks: list[TheoremCheck]
@@ -181,6 +185,8 @@ _CROSS_CHECKED: set[tuple[int, ...]] = set()  # signatures the engine has confir
 
 # Checks that read the ring's elements beyond its graph: not run in symbolic mode.
 _ELEMENT_CHECKS = frozenset(("T2.subring", "T2.embed", "T3.torsion-complete", "T3.torsion-diam"))
+# Checks a sweep runs on every ring; the others it evaluates once per ring shape.
+_PER_RING_CHECKS = _ELEMENT_CHECKS | {"L4.gcd-adj"}
 
 
 def _signature(factors) -> tuple[int, ...]:
@@ -203,13 +209,14 @@ def _signature_invariants(sig, graph_cap: int, noun: str) -> InvariantReport:
 
 
 class _RingContext:
-    """Facts about R = Z_{n1} x ... x Z_{nk}.  The graph-side facts are plain
-    attributes set here, from the signature cache and the closed forms; the
-    element-level ones come from the engine on demand.  Without a ring this is
-    symbolic mode: the element-level checks are not available, and the ring is
-    built only for L4.gcd-adj and witnesses, within the element cap."""
+    """Facts about R = Z_{n1} x ... x Z_{nk}.  The graph-side facts come from the
+    signature cache and the closed forms; the element-level ones come from the
+    engine on demand.  Without a ring this is symbolic mode: the element-level
+    checks are not available, and the ring is built only for L4.gcd-adj and
+    witnesses, within the element cap."""
 
     unavailable = frozenset()  # check ids reported as not available
+    noun = "vertices"  # what the graph cap counts
 
     def __init__(self, factors: tuple[int, ...], caps: Caps, ring: ProductRing | None = None):
         self.start_ns = time.perf_counter_ns()
@@ -220,14 +227,14 @@ class _RingContext:
         self.ring_id = "x".join([f"Z{n}" for n in factors])
         if ring is None:
             self.unavailable = _ELEMENT_CHECKS
-            noun = "divisor vertices"
+            self.noun = "divisor vertices"
         else:
             self.ring = ring
-            noun = "vertices"
-        try:
-            self.ia_inv = _signature_invariants(sig, caps.graph, noun)
-        except CapExceededError as exc:
-            self.over_graph_cap = str(exc)
+
+    @cached_property
+    def ia_inv(self) -> InvariantReport:
+        """Over the graph cap, the cap error is raised inside the check that reads it."""
+        return _signature_invariants(self.signature, self.caps.graph, self.noun)
 
     # the other closed forms, in L = len(signature) local factors
     @property
@@ -242,13 +249,6 @@ class _RingContext:
     @property
     def reduced(self) -> bool:
         return self.signature[0] == 1
-
-    def __getattr__(self, name):
-        # reached for ia_inv only when __init__ left it unset, over the graph cap:
-        # the cap error is raised inside the check that reads it
-        if name == "ia_inv":
-            raise CapExceededError(self.over_graph_cap)
-        raise AttributeError(name)
 
     @cached_property
     def ring(self) -> ProductRing:
@@ -811,34 +811,108 @@ def _first_primes(k: int) -> list[int]:
     return list(itertools.islice(filter(is_prime, itertools.count(2)), k))
 
 
-def _sweep_items(config: SweepConfig):
-    if config.family == "zn":
-        return [RingSpec((n,)) for n in range(2, config.max_n + 1)]
-    if config.family == "zn-symbolic":
-        return list(range(2, config.max_n + 1))
+def _zn_signatures(max_n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Signature ids of 0..max_n (0 and 1 get id 0, the empty signature) and the
+    signature of each id, from one smallest-prime-factor sieve.  For n in
+    [L, 2L), p = spf(n) and m = n / p < L, so the exponent e(n) of p and the
+    signature id of the cofactor rest(n) prime to p follow from the values at m:
+    one vectorized step per block of [L, 2L) (Gries & Misra, CACM 21, 1978)."""
+    spf = np.arange(max_n + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(max_n) + 1):
+        if spf[p] == p:  # p is prime; the first prime to reach a multiple is its least
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    exp, rest, ids = np.zeros((3, max_n + 1), dtype=np.int32)  # rest: the id of rest(n)
+    index = {(): 0}  # signature -> id, in order of first appearance
+    low = 2
+    while low <= max_n:
+        high = min(2 * low, low + (1 << 20), max_n + 1)  # bounded temporaries
+        n = np.arange(low, high, dtype=np.int32)
+        p = spf[n]
+        m = n // p
+        same = spf[m] == p
+        exp[n] = e = np.where(same, exp[m] + 1, 1)
+        rest[n] = r = np.where(same, rest[m], ids[m])
+        keys, inverse = np.unique(r << 8 | e, return_inverse=True)
+        sigs = list(index)
+        step = [
+            index.setdefault(tuple(sorted(sigs[k >> 8] + (k & 255,), reverse=True)), len(index))
+            for k in keys.tolist()
+        ]
+        ids[n] = np.array(step, dtype=np.int32)[inverse]
+        low = high
+    return ids, list(index)
+
+
+# Checks that read the factors beyond the signature (their count, order or primality).
+_FACTOR_CHECKS = frozenset(cid for cid in CHECK_IDS if cid.startswith("T5.")) | {"L4.three-primes"}
+
+
+def _sweep_entries(config: SweepConfig):
+    """(ring id, n or spec, shape) per ring, in sweep order; the shape of Z_n is
+    the sieve's signature id."""
+    if config.family in ("zn", "zn-symbolic"):
+        ids, _ = _zn_signatures(config.max_n)
+        moduli = range(2, config.max_n + 1)
+        items = moduli if config.family == "zn-symbolic" else map(RingSpec, zip(moduli))
+        return zip(map("Z{}".format, moduli), items, ids[2:].tolist())
     if config.family == "products":
-        return enumerate_product_specs(config.max_n, config.max_factors)
-    primes = _first_primes(config.max_n)
-    return [RingSpec(tuple(primes[:k])) for k in range(2, config.max_n + 1)]
+        specs = enumerate_product_specs(config.max_n, config.max_factors)
+    else:
+        primes = _first_primes(config.max_n)
+        specs = [RingSpec(tuple(primes[:k])) for k in range(2, config.max_n + 1)]
+    if _FACTOR_CHECKS.isdisjoint(config.checks):  # the signature decides every check selected
+        return [(s.ring_id(), s, _signature(s.factors)) for s in specs]
+    return [(s.ring_id(), s, tuple(_signature((n,)) for n in s.factors)) for s in specs]
 
 
-def _run_item(item, config: SweepConfig) -> RingReport:
-    if config.family != "zn-symbolic":
-        return check_ring(item, config.checks, config.caps)
-    report = check_zn_symbolic(item, config.checks, config.caps)
-    # periodic cache validation: rebuild the divisor graph and compare
-    if item % 199 == 0:
-        with contextlib.suppress(CapExceededError):  # over the graph cap: nothing cached
-            fresh = invariants(build_ia_zn_symbolic(dict(factorize(item)), config.caps.graph))
-            if fresh != symbolic_invariants(item, config.caps):
-                raise SelfCheckError(f"symbolic cache mismatch at n={item}")
-    return report
+class _ShapeSweep:
+    """Evaluates the rings of one sweep, each shape once (see the module notes).
+    The memo lives as long as this object: one sweep, or one worker of its pool."""
+
+    def __init__(self, config: SweepConfig):
+        self.checks, self.caps = config.checks, config.caps
+        self.symbolic = config.family == "zn-symbolic"
+        self.check = partial(check_zn_symbolic if self.symbolic else check_ring, caps=config.caps)
+        self.per_ring = _CheckIds(cid for cid in config.checks if cid in _PER_RING_CHECKS)
+        self.memo: dict[object, list] = {}  # shape -> its checks, None where per ring
+
+    def __call__(self, entry) -> RingReport:
+        ring_id, item, shape = entry
+        template = self.memo.get(shape)
+        if template is None:
+            report = self.check(item, self.checks)
+            if not any(c.skipped or c.failed for c in report.checks if c.id not in self.per_ring):
+                self.memo[shape] = [None if c.id in self.per_ring else c for c in report.checks]
+        elif self.per_ring:
+            report = self.check(item, self.per_ring)
+            own = iter(report.checks)
+            report.checks = [next(own) if c is None else c for c in template]
+        else:
+            report = RingReport(ring_id, list(template))
+        if self.symbolic and item % 199 == 0:  # periodic cache validation: rebuild and compare
+            with contextlib.suppress(CapExceededError):  # over the graph cap: nothing cached
+                fresh = invariants(build_ia_zn_symbolic(dict(factorize(item)), self.caps.graph))
+                if fresh != symbolic_invariants(item, self.caps):
+                    raise SelfCheckError(f"symbolic cache mismatch at n={item}")
+        return report
+
+
+_WORKER_SWEEP: _ShapeSweep | None = None  # a pool worker's, started empty for its pool's sweep
+
+
+def _start_worker(config: SweepConfig) -> None:
+    global _WORKER_SWEEP
+    _WORKER_SWEEP = _ShapeSweep(config)
+
+
+def _run_in_worker(entry) -> RingReport:
+    return _WORKER_SWEEP(entry)
 
 
 def sweep(config: SweepConfig, report_sink=None) -> SweepAggregate:
-    """Run the configured family; aggregate per-check outcomes deterministically.
-    With jobs > 1 the reports stream back from a pool in item order (imap)."""
-    items = _sweep_items(config)
+    """Run the configured family, each shape once; aggregate per-check outcomes
+    in ring order.  With jobs > 1 the reports stream back from a pool (imap)."""
+    entries = _sweep_entries(config)
     start = time.perf_counter_ns()
     stats = {cid: CheckStats() for cid in config.checks}
 
@@ -847,14 +921,16 @@ def sweep(config: SweepConfig, report_sink=None) -> SweepAggregate:
         if config.jobs > 1:
             from multiprocessing import Pool
 
-            pool = stack.enter_context(Pool(config.jobs))
-            reports = pool.imap(partial(_run_item, config=config), items, chunksize=64)
+            pool = stack.enter_context(Pool(config.jobs, _start_worker, (config,)))
+            reports = pool.imap(_run_in_worker, entries, chunksize=64)
         else:
-            reports = (_run_item(item, config) for item in items)
+            reports = map(_ShapeSweep(config), entries)
+        absorbers = [stats[cid].absorb for cid in config.checks]  # report.checks come in this order
         for report in reports:
             count += 1
-            for check in report.checks:
-                stats[check.id].absorb(report.ring, check)
+            ring = report.ring
+            for absorb, check in zip(absorbers, report.checks):
+                absorb(ring, check)
             if report_sink is not None:
                 report_sink(report)
     elapsed = (time.perf_counter_ns() - start) // 1_000_000

@@ -481,6 +481,20 @@ def test_symbolic_cache_mismatch_exits_3(capsys, monkeypatch):
     assert err == "error: symbolic cache mismatch at n=199\n"
 
 
+@pytest.mark.parametrize("checks", ["all", "T3.girth"])
+def test_symbolic_recheck_fires_on_reused_shapes(capsys, monkeypatch, checks):
+    """Two fields poisoned with the complete graph of Z8: the shape of 398 = 2 * 199
+    is first evaluated at n = 6 (with T3.girth alone it passes there and is
+    reused), and the periodic rebuild at 398 still catches the entry."""
+    monkeypatch.setitem(_SIGNATURE_CACHE, (1, 1), invariants(build_ia_zn_symbolic({2: 3})))
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "zn-symbolic", "--max", "400", "--checks", checks
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: symbolic cache mismatch at n=398\n"
+
+
 def test_signature_cache_mismatch_in_csv_sweep_exits_3(tmp_path, capsys, monkeypatch):
     """CSV rows are buffered while the sweep runs: a self-check failure leaves
     stdout empty and creates no --out file."""

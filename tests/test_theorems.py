@@ -1,5 +1,6 @@
 """Harness behavior: per-check verdicts, sweeps, skips, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -17,6 +18,8 @@ from iagraph.theorems import (
     CHECK_IDS,
     CSV_HEADER,
     Caps,
+    CheckStats,
+    SweepAggregate,
     SweepConfig,
     check_ring,
     check_zn_symbolic,
@@ -508,6 +511,106 @@ def test_sweep_parallel_matches_serial():
     serial.pop("elapsed_ms")
     parallel.pop("elapsed_ms")
     assert serial == parallel
+
+
+def _reference_sweep(config):
+    """Every ring through check_zn_symbolic or check_ring on its own, aggregated
+    in ring order: the streamed (ring, checks) pairs and the aggregate JSON."""
+    if config.family == "zn-symbolic":
+        moduli = range(2, config.max_n + 1)
+        reports = [check_zn_symbolic(n, config.checks, config.caps) for n in moduli]
+    else:
+        if config.family == "zn":
+            specs = [f"Z{n}" for n in range(2, config.max_n + 1)]
+        elif config.family == "products":
+            specs = enumerate_product_specs(config.max_n, config.max_factors)
+        else:
+            primes = (2, 3, 5, 7, 11, 13)
+            specs = ["x".join(f"Z{p}" for p in primes[:k]) for k in range(2, config.max_n + 1)]
+        reports = [check_ring(spec, config.checks, config.caps) for spec in specs]
+    stats = {cid: CheckStats() for cid in config.checks}
+    for report in reports:
+        for check in report.checks:
+            stats[check.id].absorb(report.ring, check)
+    aggregate = SweepAggregate(config.family, len(reports), stats).to_json_dict()
+    return _streamed(reports), aggregate
+
+
+def _streamed(reports):
+    return [(r.ring, [c.to_json_dict() for c in r.checks]) for r in reports]
+
+
+def _shape_sweep(config):
+    reports = []
+    aggregate = sweep(config, reports.append).to_json_dict()
+    aggregate["elapsed_ms"] = 0
+    return reports, aggregate
+
+
+# The graph-side checks that read only the signature: product rings are keyed by it.
+GRAPH_ONLY_CHECKS = tuple(
+    cid for cid in CHECK_IDS if cid not in theorems._PER_RING_CHECKS | theorems._FACTOR_CHECKS
+)
+SHAPE_SWEEP_CASES = [
+    SweepConfig(family="zn-symbolic", max_n=3000, checks="all"),
+    SweepConfig(family="zn", max_n=200, checks="all"),
+    SweepConfig(family="products", max_n=200, max_factors=3, checks="all"),
+    SweepConfig(family="products", max_n=300, max_factors=3, checks=GRAPH_ONLY_CHECKS),
+    SweepConfig(family="domain-products", max_n=6),
+    SweepConfig(family="zn-symbolic", max_n=800, checks="all", caps=Caps(graph=2)),
+]
+
+
+@pytest.mark.parametrize("config", SHAPE_SWEEP_CASES, ids=lambda c: f"{c.family}-{c.max_n}")
+def test_shape_sweep_matches_per_ring_reference(cold_signatures, config):
+    """A sweep evaluates each ring shape once; its streamed reports and aggregate
+    equal those of every ring checked on its own, from cold caches both times."""
+    reports, aggregate = _shape_sweep(config)
+    cold_signatures._SIGNATURE_CACHE.clear()
+    cold_signatures._CROSS_CHECKED.clear()
+    assert (_streamed(reports), aggregate) == _reference_sweep(config)
+    assert len({id(r.checks) for r in reports}) == len(reports)  # no shared check lists
+
+
+def test_theorem_checks_are_frozen():
+    check = by_id(check_ring("Z12", ("T3.girth",)), "T3.girth")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check.passed = False
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="jobs=2 needs at least 2 CPUs")
+@pytest.mark.parametrize(
+    "config", [SHAPE_SWEEP_CASES[0], SHAPE_SWEEP_CASES[2]], ids=lambda c: c.family
+)
+def test_shape_sweep_parallel_matches_serial(config):
+    serial_reports, serial = _shape_sweep(config)
+    parallel_reports, parallel = _shape_sweep(dataclasses.replace(config, jobs=2))
+    assert serial == parallel
+    assert _streamed(serial_reports) == _streamed(parallel_reports)
+
+
+@pytest.mark.parametrize("max_n", [2, 3, 4, 10**5])
+def test_zn_sieve_signatures_equal_trial_division(max_n):
+    """The sieve's signature of every n <= max_n against factorize's trial division."""
+    ids, sigs = theorems._zn_signatures(max_n)
+    assert ids.shape == (max_n + 1,) and ids.dtype == np.int32
+    got = [sigs[i] for i in ids[2:].tolist()]
+    assert got == [theorems._signature((n,)) for n in range(2, max_n + 1)]
+
+
+@pytest.mark.parametrize("checks", [("T3.girth",), ("T3.girth", "T5.mixed")])
+def test_products_sweep_cross_checks_the_first_ring_of_each_signature(cold_signatures, checks):
+    """Later rings of a shape reuse its checks (keyed by the signature, or with a
+    T5 check by the signature of each factor); the engine still confirms every
+    signature whose first ring is within the element cap, and no other."""
+    caps = Caps(element=50)
+    sweep(SweepConfig(family="products", max_n=200, max_factors=3, checks=checks, caps=caps))
+    first_orders = {}
+    for spec in enumerate_product_specs(200, 3):
+        first_orders.setdefault(theorems._signature(spec.factors), spec.order)
+    expected = {sig for sig, order in first_orders.items() if order <= caps.element}
+    assert cold_signatures._CROSS_CHECKED == expected
+    assert expected and len(expected) < len(first_orders)
 
 
 def test_sweep_skips_are_visible():
