@@ -11,7 +11,8 @@ floating point is involved anywhere.
 
 Isomorphism is decided by backtracking over candidate vertex images, pruned
 by degree and iterated neighborhood-degree refinement, with a configurable
-vertex cap.
+vertex cap.  Equal adjacency matrices are accepted at once by the positional
+mapping, the one the search would find.
 """
 
 from __future__ import annotations
@@ -254,8 +255,10 @@ def is_isomorphic(
         return False, None
     if g.degree_sequence() != h.degree_sequence():
         return False, None
-    if n == 0:
-        return True, {}
+    if np.array_equal(g.adj, h.adj):
+        # the search below maps equal matrices by the identity: within a color
+        # class it visits vertices in ascending index, each taking itself first
+        return True, dict(zip(g.labels, h.labels))
 
     gn, hn = g.neighbors, h.neighbors
     ga, ha = g.adj.tolist(), h.adj.tolist()

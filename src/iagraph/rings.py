@@ -12,9 +12,8 @@ brute-force engine on ``FiniteRing``:
 * ``_matrix``: the elements as a cached order x arity int64 matrix;
 * one mixed-radix code, sum of x_i * n_{i+1} * ... * n_k, for elements and
   for op(a_i, b_j) over pairs; ``_rows`` decodes codes back to elements.
-  Codes ascend with elements(), and membership is ``np.isin`` on sorted
-  codes, which picks a lookup table or a sort from the sizes, so a
-  subring's scans cost nothing that grows with its parent;
+  Codes ascend with elements(), and a sum or difference of residues is
+  reduced by one unsigned minimum rather than a division;
 * zero-product rows for any list of elements, and the "x + y outside Z(R)"
   scan, built in blocks of at most ``_BLOCK_PAIRS`` pairs, so memory stays
   bounded and a scan stops at its first hit.  The full order x order
@@ -26,7 +25,11 @@ brute-force engine on ``FiniteRing``:
   that grew it are the next generators, until none falls outside;
 * ``Subring.validate_closure``, one blocked scan per operation, whose *
   blocks also fill the subring's zero-product matrix, so the graph built on
-  a validated subring scans no pair twice;
+  a validated subring scans no pair twice.  Membership of a block's codes is
+  read from one bool table over the parent's codes, built once per call,
+  when the parent's order is within ``DEFAULT_ELEMENT_CAP`` (every generated
+  subring's is); a larger parent, such as Z_{10^12}, is looked up with
+  ``np.isin`` on the sorted member codes instead;
 * the annihilator classes of Z*(R), grouped once by a 1-D class code and
   cached on the ring.
 
@@ -281,7 +284,8 @@ class FiniteRing:
             raise ValueError(f"{x} is not a member of {self!r}") from None
 
     def _pair_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Codes of op(a_i, b_j) for rows a_i of a and b_j of b (np.add, np.multiply, ...)."""
+        """Codes of op(a_i, b_j) for element rows a_i of a and b_j of b, whose
+        coordinates are residues 0 <= x < n; op is np.add, np.subtract or np.multiply."""
         out = np.zeros((len(a), len(b)), dtype=np.int64)
         residues = np.empty_like(out)
         for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
@@ -289,7 +293,14 @@ class FiniteRing:
                 residues[...] = op.outer(a[:, c].astype(object), b[:, c].astype(object)) % n
             else:
                 op.outer(a[:, c], b[:, c], out=residues)
-                residues %= n
+                if op is np.multiply:
+                    residues %= n
+                else:
+                    # Sums lie in [0, 2n) and differences in (-n, n).  Read as
+                    # uint64, r - n wraps above r when r < n and r + n wraps
+                    # below r when r < 0, so one minimum reduces either.
+                    u = residues.view(np.uint64)
+                    np.minimum(u, u - n if op is np.add else u + n, out=u)
             residues *= s
             out += residues
         return out
@@ -668,11 +679,16 @@ class Subring(FiniteRing):
         inverse.  The * scan also fills the cached zero-product matrix."""
         mat = self._matrix
         zero = mat[:1]  # elements()[0] is 0, and -x = 0 - x
+        table = None
+        if self.parent.order <= DEFAULT_ELEMENT_CAP:
+            table = np.zeros(self.parent.order, dtype=bool)
+            table[self._codes] = True
         zero_products = np.empty((len(mat), len(mat)), dtype=bool)
         for name, op, a in (("+", np.add, mat), ("*", np.multiply, mat), ("-", np.subtract, zero)):
             for rows in _blocks(len(a), len(mat)):
                 codes = self._pair_codes(op, a[rows], mat)
-                if not np.isin(codes, self._codes).all():
+                inside = np.isin(codes, self._codes) if table is None else table[codes]
+                if not inside.all():
                     raise ValueError(f"subring not closed under {name}")
                 if op is np.multiply:
                     zero_products[rows] = codes == 0

@@ -163,12 +163,14 @@ def report_csv_rows(report: RingReport) -> list[list[str]]:
             str(c.applicable).lower(),
             "" if c.passed is None else str(c.passed).lower(),
             json.dumps(c.witness, sort_keys=True) if c.witness else "",
+            str(c.skipped).lower(),
+            c.reason,
         ]
         for c in report.checks
     ]
 
 
-CSV_HEADER = ["ring", "check_id", "applicable", "passed", "witness"]
+CSV_HEADER = ["ring", "check_id", "applicable", "passed", "witness", "skipped", "reason"]
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_verify_csv_format(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "ring,check_id,applicable,passed,witness"
+    assert lines[0] == "ring,check_id,applicable,passed,witness,skipped,reason"
     assert lines[1].startswith("Z12,T2.goldie,true,true")
 
 
@@ -214,7 +214,7 @@ def test_sweep_csv_deterministic(capsys):
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
     lines = first.strip().splitlines()
-    assert lines[0] == "ring,check_id,applicable,passed,witness"
+    assert lines[0] == "ring,check_id,applicable,passed,witness,skipped,reason"
     assert len(lines) == 1 + 19 * 2
     _, second, _ = run_cli(capsys, *args)
     assert first == second
@@ -342,6 +342,15 @@ def test_iso_isomorphic_pair(capsys):
     payload = json.loads(out)
     assert payload["isomorphic"] is True
     assert payload["mapping"]["6"] == "(0,0,1)"
+
+
+def test_iso_of_equal_specs_maps_each_vertex_to_itself(capsys):
+    code, out, _ = run_cli(capsys, "iso", "--ring", "Z36", "--ring", "Z36")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["isomorphic"] is True
+    labels = ["2", "3", "4", "6", "9", "12", "18"]
+    assert list(payload["mapping"].items()) == [(v, v) for v in labels]
 
 
 def test_iso_non_isomorphic_exit_codes(capsys):

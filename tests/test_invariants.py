@@ -223,6 +223,17 @@ def test_self_isomorphism_identity():
     assert ok
     for lab, image in mapping.items():
         assert lab in g.labels and image in g.labels
+    # equal matrices map by position, the search's own first answer on them,
+    # even where twins and automorphisms offer other isomorphisms
+    for g in (
+        star_graph(5),
+        complete_graph(6),
+        complete_bipartite_graph(3, 4),
+        build_ia(product_ring("Z36")),
+        build_ia(product_ring("Z2xZ4")),
+    ):
+        other = Graph([f"w{i}" for i in range(g.vertex_count)], g.adj.copy())
+        assert is_isomorphic(g, other) == (True, dict(zip(g.labels, other.labels)))
 
 
 def test_isomorphism_invariant_under_relabeling(graph_population):

@@ -1,13 +1,17 @@
 """Ring core: parsing, arithmetic, zero divisors, annihilators, subrings."""
 
 import math
+import operator
+import random
 import tracemalloc
+from itertools import product as cartesian
 
 import numpy as np
 import pytest
 
 from iagraph.graphs import build_torsion, build_total
 from iagraph.rings import (
+    DEFAULT_ELEMENT_CAP,
     CapExceededError,
     ProductRing,
     RingSpec,
@@ -474,6 +478,22 @@ def test_subring_closure_validation_catches_bad_sets():
     bad = Subring(ring, frozenset({(0, 0), (1, 1)}))  # misses (2,2) = (1,1)+(1,1)
     with pytest.raises(ValueError):
         bad.validate_closure()
+    # Z2 x Z_2m with m even, on both sides of the membership table's bound:
+    # order 5000 is looked up in the table, order 5008 with np.isin
+    parents = [product_ring("Z2xZ2500"), product_ring("Z2xZ2504")]
+    assert [p.order for p in parents] == [DEFAULT_ELEMENT_CAP, DEFAULT_ELEMENT_CAP + 8]
+    for parent in parents:
+        m = parent.mods[1] // 2
+        Subring(parent, frozenset({(0, 0), (1, 0), (0, m), (1, m)})).validate_closure()
+        for members, name in (
+            ({(0, 0), (0, 1)}, r"\+"),  # (0,1) + (0,1) = (0,2)
+            ({(0, 0), (1, m)}, r"\*"),  # closed under +, but (1,m)^2 = (1,0)
+            # -(0,1) = (0,2m-1) is missing; a finite set closed under + is
+            # closed under -, so the + scan is the one that reports it
+            ({(0, 0), (1, 0), (0, 1)}, ""),
+        ):
+            with pytest.raises(ValueError, match="not closed under " + name):
+                Subring(parent, frozenset(members)).validate_closure()
 
 
 def test_subring_requires_zero():
@@ -531,6 +551,29 @@ def test_subring_of_huge_modulus_multiplies_exactly():
     assert sub.zero_divisor_set() == {parent.zero, x}
     with pytest.raises(ValueError, match="not closed under"):
         Subring(parent, frozenset({parent.zero, (3,)})).validate_closure()
+
+
+def test_pair_codes_match_python_ints():
+    """+, - and * codes against Python ints: every residue pair of small rings,
+    and sampled residues, 0 and n - 1 among them, for moduli on both sides of
+    the switch to Python ints at (n - 1)**2 > INT64_MAX."""
+    edge = math.isqrt(int(np.iinfo(np.int64).max)) + 1  # the largest int64-side modulus
+    assert (edge - 1) ** 2 <= np.iinfo(np.int64).max < edge**2
+    rng = random.Random(5)
+    cases = [product_ring(rid) for rid in ("Z2", "Z3", "Z7", "Z12", "Z2xZ2", "Z4xZ6", "Z2xZ3xZ5")]
+    cases = [(ring, ring._matrix) for ring in cases]
+    for mods in ((edge,), (edge + 1,), (edge, 3), (5, edge + 1)):
+        picks = [{0, 1, n // 2, n - 2, n - 1} | {rng.randrange(n) for _ in range(4)} for n in mods]
+        rows = np.array(list(cartesian(*map(sorted, picks))), dtype=np.int64)
+        cases.append((ProductRing(RingSpec(mods)), rows))
+    for ring, rows in cases:
+        mods, strides, elems = ring.spec.factors, ring._strides, rows.tolist()
+        for op, py_op in ((np.add, operator.add), (np.subtract, operator.sub), (np.multiply, operator.mul)):
+            expected = [
+                [sum(py_op(x, y) % n * s for x, y, n, s in zip(a, b, mods, strides)) for b in elems]
+                for a in elems
+            ]
+            assert ring._pair_codes(op, rows, rows).tolist() == expected, (ring, op)
 
 
 def test_subring_key_unsupported():

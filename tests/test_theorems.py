@@ -684,9 +684,17 @@ def test_report_csv_rows():
     report = check_ring("Z12", checks=("T2.goldie", "T3.card2"))
     rows = report_csv_rows(report)
     assert len(rows) == 2
-    assert rows[0][:4] == ["Z12", "T2.goldie", "true", "true"]
-    assert rows[1][:4] == ["Z12", "T3.card2", "false", ""]
-    assert CSV_HEADER == ["ring", "check_id", "applicable", "passed", "witness"]
+    assert rows[0] == ["Z12", "T2.goldie", "true", "true", "", "false", ""]
+    assert rows[1] == ["Z12", "T3.card2", "false", "", "", "false", ""]
+    assert CSV_HEADER == [
+        "ring", "check_id", "applicable", "passed", "witness", "skipped", "reason"
+    ]
+    # a check skipped on a cap and an inapplicable one no longer read alike
+    big = report_csv_rows(check_ring("Z1000000000000", checks=("T2.subring", "T2.ideal")))
+    assert big[0][1:] == [
+        "T2.subring", "false", "", "", "true", "order 1000000000000 above subring cap 500"
+    ]
+    assert big[1][1:] == ["T2.ideal", "false", "", "", "false", ""]
 
 
 def test_witnesses_serialize():
