@@ -7,11 +7,13 @@ family), iso (compare two graphs).
 Exit status: 0 on success, 1 when a requested verification fails (a failed
 check, or a non-isomorphic pair under --expect iso), 2 on usage errors,
 malformed ring specs, an empty check selection, caps that are not positive,
---jobs outside 1..the CPU count, an unwritable --out path, or cap
-violations, and 3 when a self-check finds the signature cache or a closed
-form disagreeing with a recomputation.  Nothing is written to stdout on
-exit 2 or 3.  A sweep that visited no rings, or skipped every check on
-every ring, prints a one-line warning on stderr; its exit status stays.
+--jobs outside 1..the CPU count, an unwritable --out path, a zn or
+zn-symbolic sweep bound above 2**31 - 1 (the sieve's int32 range), cap
+violations, or running out of memory ("error: out of memory: ..."), and 3
+when a self-check finds the signature cache or a closed form disagreeing
+with a recomputation.  Nothing is written to stdout on exit 2 or 3.  A
+sweep that visited no rings, or skipped every check on every ring, prints a
+one-line warning on stderr; its exit status stays.
 """
 
 from __future__ import annotations
@@ -278,6 +280,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RingSpecError, CapExceededError, UnsupportedVariantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

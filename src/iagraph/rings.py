@@ -18,8 +18,8 @@ brute-force engine on ``FiniteRing``:
   scan, built in blocks of at most ``_BLOCK_PAIRS`` pairs, so memory stays
   bounded and a scan stops at its first hit.  The full order x order
   zero-product matrix is cached only where every row is needed, for a
-  subring's Z(R) mask and class codes; ``annihilator_set`` reads it there and
-  computes its one row elsewhere;
+  subring's Z(R) mask and class codes; ``annihilator_set`` always computes
+  its element's own row;
 * generated subrings on sorted code arrays: the additive subgroup grows by
   the cosets of each generator's multiples, and products of the generators
   that grew it are the next generators, until none falls outside;
@@ -118,10 +118,6 @@ def divisors(n: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
-
-
-def is_prime_power(n: int) -> bool:
-    return n >= 2 and len(factorize(n)) == 1
 
 
 def big_omega(n: int) -> int:
@@ -364,14 +360,10 @@ class FiniteRing:
         return set(self._zero_divisors(cap))
 
     def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        """ann(x), one row of the zero-product matrix, read from the full matrix
-        where it is already cached and computed alone otherwise."""
+        """ann(x), its own row of the zero-product matrix, computed alone."""
         elems = self.elements(cap)
         i = self._index(x)
-        if "_zero_product_matrix" in self.__dict__:
-            row = self._zero_product_matrix[i]
-        else:
-            row = self._pair_codes(np.multiply, self._matrix[i : i + 1], self._matrix)[0] == 0
+        row = self._pair_codes(np.multiply, self._matrix[i : i + 1], self._matrix)[0] == 0
         return {elems[j] for j in row.nonzero()[0]}
 
     def zero_divisor_ideal_witness(

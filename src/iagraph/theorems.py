@@ -4,7 +4,10 @@ Every check encodes one law relating a finite ring to its
 annihilator-intersection graph as hypothesis -> conclusion.  A check is
 *inapplicable* when the hypothesis fails, *skipped* (with a reason) when a
 cap prevents evaluating it, and otherwise passes or fails with a structured
-witness.  Converses are only asserted where the law is an equivalence.
+witness.  Converses are only asserted where the law is an equivalence.  A
+check returns only its verdict and ``_run_checks`` builds the outcome; a
+plain pass and an inapplicable check are one frozen outcome per check id,
+shared between reports.
 
 Graph-side facts come from the ring's signature.  By CRT, Z_{n1} x ... x
 Z_{nk} is prod Z_{p^e} over the prime powers of all its factors, so its
@@ -28,11 +31,12 @@ A mismatch raises ``SelfCheckError``.
 
 Sweeps enumerate ring families deterministically and evaluate each ring
 shape once: the signature of each factor, in factor order, or the signature
-alone if no selected check reads the factors.  A later ring reuses the
-graph-side checks of its shape's first ring if none failed or was skipped,
-since failures and skips name their ring.  The element-level checks,
-L4.gcd-adj and the 199 rebuild run on every ring, and the counts are
-aggregated in ring order; every failure keeps its witness.
+alone if no selected check reads the factors.  The T5 hypotheses read only
+those per-factor signatures, so their applicability follows the shape.  A
+later ring reuses the graph-side checks of its shape's first ring if none
+failed or was skipped, since failures and skips name their ring.  The
+element-level checks, L4.gcd-adj and the 199 rebuild run on every ring, and
+the counts are aggregated in ring order; every failure keeps its witness.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .rings import (
     factorize,
     format_element,
     is_prime,
-    is_prime_power,
     parse_ring_spec,
 )
 
@@ -101,6 +104,8 @@ class Caps:
 
 @dataclass(frozen=True)
 class TheoremCheck:
+    """One check's outcome on one ring; frozen, since reports share plain ones."""
+
     id: str
     applicable: bool
     passed: bool | None
@@ -123,6 +128,44 @@ class TheoremCheck:
         }
 
 
+@dataclass
+class CheckStats:
+    """The one outcome tally: of a check id over a sweep, or of one report."""
+
+    applicable: int = 0
+    passed: int = 0
+    failed: int = 0
+    skipped: int = 0
+    inapplicable: int = 0
+    failures: list = field(default_factory=list)
+    skip_reasons: Counter = field(default_factory=Counter)
+
+    def absorb(self, ring: str, check: TheoremCheck) -> None:
+        if check.skipped:
+            self.skipped += 1
+            self.skip_reasons[check.reason] += 1
+        elif not check.applicable:
+            self.inapplicable += 1
+        else:
+            self.applicable += 1
+            if check.passed:
+                self.passed += 1
+            else:
+                self.failed += 1
+                self.failures.append({"ring": ring, "witness": check.witness})
+
+    def to_json_dict(self) -> dict:
+        return {
+            "applicable": self.applicable,
+            "passed": self.passed,
+            "failed": self.failed,
+            "skipped": self.skipped,
+            "inapplicable": self.inapplicable,
+            "failures": self.failures,
+            "skip_reasons": dict(sorted(self.skip_reasons.items())),
+        }
+
+
 @dataclass(slots=True)
 class RingReport:
     ring: str
@@ -130,17 +173,11 @@ class RingReport:
     timing_ms: int = 0
 
     def summary(self) -> dict:
-        out = {"checks": len(self.checks), "applicable": 0, "passed": 0, "failed": 0, "skipped": 0}
+        tally = CheckStats()
         for c in self.checks:
-            if c.skipped:
-                out["skipped"] += 1
-            elif c.applicable:
-                out["applicable"] += 1
-                if c.passed:
-                    out["passed"] += 1
-                else:
-                    out["failed"] += 1
-        return out
+            tally.absorb(self.ring, c)
+        counts = {k: getattr(tally, k) for k in ("applicable", "passed", "failed", "skipped")}
+        return {"checks": len(self.checks), **counts}
 
     @property
     def failures(self) -> list[TheoremCheck]:
@@ -196,6 +233,11 @@ def _signature(factors) -> tuple[int, ...]:
     return tuple(sorted([e for n in factors for _, e in factorize(n)], reverse=True))
 
 
+def _factor_signatures(factors) -> tuple[tuple[int, ...], ...]:
+    """The signature of each factor, in factor order: a products sweep's shape key."""
+    return tuple(_signature((n,)) for n in factors)
+
+
 def _signature_invariants(sig, graph_cap: int, noun: str) -> InvariantReport:
     """The cached report of the signature's valuation graph, checked against the
     graph cap; a miss is built as the divisor graph of the first len(sig) primes
@@ -225,6 +267,7 @@ class _RingContext:
         self.factors = factors
         self.caps = caps
         self.signature = sig = _signature(factors)
+        self.factor_signatures = _factor_signatures(factors)
         self.z_ideal = len(sig) == 1
         self.ring_id = "x".join([f"Z{n}" for n in factors])
         if ring is None:
@@ -307,40 +350,43 @@ def _cross_check(ctx: _RingContext) -> None:
 
 # ---------------------------------------------------------------------------
 # the checks
+#
+# A check returns its verdict and _run_checks builds the outcome: None for a
+# pass, a witness dict for a failure, a reason string for a vacuous pass, or
+# _INAPPLICABLE when the hypothesis fails.  It raises CapExceededError when a
+# cap prevents evaluating it.
+
+_INAPPLICABLE = object()
 
 
-def _check_ideal(ctx: _RingContext) -> TheoremCheck:
+def _check_ideal(ctx: _RingContext):
     """Complete graph forces the zero-divisors to form an ideal."""
     if not ctx.ia_inv.complete:
-        return TheoremCheck("T2.ideal", applicable=False, passed=None)
-    if ctx.z_ideal:
-        return TheoremCheck("T2.ideal", applicable=True, passed=True)
-    return TheoremCheck("T2.ideal", applicable=True, passed=False, witness=ctx.z_ideal_witness)
+        return _INAPPLICABLE
+    return None if ctx.z_ideal else ctx.z_ideal_witness
 
 
-def _check_thann(ctx: _RingContext) -> TheoremCheck:
+def _check_thann(ctx: _RingContext):
     """A common nonzero annihilator of Z(R) forces a complete graph."""
     if not ctx.common_ann_nonzero:
-        return TheoremCheck("T2.thann", applicable=False, passed=None)
+        return _INAPPLICABLE
     ok = ctx.ia_inv.complete
-    witness = None if ok else {"vertices": ctx.ia_inv.vertex_count, "edges": ctx.ia_inv.edge_count}
-    return TheoremCheck("T2.thann", applicable=True, passed=ok, witness=witness)
+    return None if ok else {"vertices": ctx.ia_inv.vertex_count, "edges": ctx.ia_inv.edge_count}
 
 
-def _check_goldie(ctx: _RingContext) -> TheoremCheck:
+def _check_goldie(ctx: _RingContext):
     """Finite ring: Z(R) is an ideal iff the graph is complete (equivalence)."""
     ideal = ctx.z_ideal
     complete = ctx.ia_inv.complete
-    ok = ideal == complete
-    witness = None
-    if not ok:
-        witness = {"z_ideal": ideal, "ia_complete": complete}
-        if not ideal:
-            witness.update(ctx.z_ideal_witness)
-    return TheoremCheck("T2.goldie", applicable=True, passed=ok, witness=witness)
+    if ideal == complete:
+        return None
+    witness = {"z_ideal": ideal, "ia_complete": complete}
+    if not ideal:
+        witness.update(ctx.z_ideal_witness)
+    return witness
 
 
-def _check_subring(ctx: _RingContext) -> TheoremCheck:
+def _check_subring(ctx: _RingContext):
     """The subring generated by class representatives and 1 has the same graph."""
     if ctx.ring.order > ctx.caps.subring:
         raise CapExceededError(
@@ -351,35 +397,30 @@ def _check_subring(ctx: _RingContext) -> TheoremCheck:
     sub.validate_closure()
     ia_sub = build_ia(sub, ctx.caps.element, ctx.caps.graph)
     ok, _ = is_isomorphic(ia_sub, ctx.ia, ctx.caps.iso)
-    witness = None
-    if not ok:
-        witness = {
-            "subring_order": sub.order,
-            "subring_vertices": ia_sub.vertex_count,
-            "subring_edges": ia_sub.edge_count,
-            "ring_vertices": ctx.ia.vertex_count,
-            "ring_edges": ctx.ia.edge_count,
-        }
-    return TheoremCheck("T2.subring", applicable=True, passed=ok, witness=witness)
+    if ok:
+        return None
+    return {
+        "subring_order": sub.order,
+        "subring_vertices": ia_sub.vertex_count,
+        "subring_edges": ia_sub.edge_count,
+        "ring_vertices": ctx.ia.vertex_count,
+        "ring_edges": ctx.ia.edge_count,
+    }
 
 
-def _check_no_kmn(ctx: _RingContext) -> TheoremCheck:
+def _check_no_kmn(ctx: _RingContext):
     """The graph is never complete bipartite with both parts above 1."""
     parts = ctx.ia_inv.bipartite_parts
-    ok = parts is None or parts[0] == 1
-    witness = None if ok else {"parts": list(parts)}
-    return TheoremCheck("T2.no-Kmn", applicable=True, passed=ok, witness=witness)
+    return None if parts is None or parts[0] == 1 else {"parts": list(parts)}
 
 
-def _check_embed(ctx: _RingContext) -> TheoremCheck:
+def _check_embed(ctx: _RingContext):
     """Every compressed edge lifts to total-graph adjacency for all member pairs."""
     if ctx.ring.order > ctx.caps.total:
         raise CapExceededError(f"order {ctx.ring.order} above total cap {ctx.caps.total}")
     raw = ctx.ring.annihilator_classes(ctx.caps.element)
     if not ctx.ia.edge_count:
-        return TheoremCheck(
-            "T2.embed", applicable=True, passed=True, reason="no edges (vacuous)"
-        )
+        return "no edges (vacuous)"
     # One scan of Z*(R) x Z*(R) in class order.  A hit is a sum outside Z(R) on an
     # edge (i, j), i < j; the least (i, j, position of x, position of y) is the
     # first hit of the loop over edges() and the members of each class.
@@ -393,83 +434,70 @@ def _check_embed(ctx: _RingContext) -> TheoremCheck:
         firsts.append(hits[:, np.lexsort(hits[::-1])[:1]])
     firsts = np.concatenate(firsts, axis=1)
     if not firsts.shape[1]:
-        return TheoremCheck("T2.embed", applicable=True, passed=True)
+        return None
     i, j, p, q = firsts[:, np.lexsort(firsts[::-1])[0]].tolist()
     x, y = members[p], members[q]
-    return TheoremCheck(
-        "T2.embed",
-        applicable=True,
-        passed=False,
-        witness={
-            "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
-            "members": [format_element(x), format_element(y)],
-            "sum": format_element(ctx.ring.add(x, y)),
-        },
-    )
+    return {
+        "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
+        "members": [format_element(x), format_element(y)],
+        "sum": format_element(ctx.ring.add(x, y)),
+    }
 
 
-def _check_vnr_or_nil(ctx: _RingContext) -> TheoremCheck:
+def _check_vnr_or_nil(ctx: _RingContext):
     """Reduced without an annihilator direct-sum split, or non-reduced:
     the graph is connected with diameter at most 3."""
     if ctx.reduced and ctx.decomposes:
-        return TheoremCheck("T3.vnr-or-nil", applicable=False, passed=None)
+        return _INAPPLICABLE
     inv = ctx.ia_inv
     ok = inv.connected and inv.diameter is not None and inv.diameter <= 3
-    witness = None if ok else {"connected": inv.connected, "diameter": _num(inv.diameter)}
-    return TheoremCheck("T3.vnr-or-nil", applicable=True, passed=ok, witness=witness)
+    return None if ok else {"connected": inv.connected, "diameter": _num(inv.diameter)}
 
 
-def _check_girth(ctx: _RingContext) -> TheoremCheck:
+def _check_girth(ctx: _RingContext):
     """Girth is 3 or infinite, never anything else."""
     inv = ctx.ia_inv
-    ok = inv.girth is None or inv.girth == 3
-    witness = None if ok else {"girth": _num(inv.girth)}
-    return TheoremCheck("T3.girth", applicable=True, passed=ok, witness=witness)
+    return None if inv.girth is None or inv.girth == 3 else {"girth": _num(inv.girth)}
 
 
-def _check_diam3(ctx: _RingContext) -> TheoremCheck:
+def _check_diam3(ctx: _RingContext):
     """More than 2 vertices: connected with diameter at most 3; exactly 3: complete."""
     inv = ctx.ia_inv
     if inv.vertex_count <= 2:
-        return TheoremCheck("T3.diam3", applicable=False, passed=None)
+        return _INAPPLICABLE
     ok = inv.connected and inv.diameter is not None and inv.diameter <= 3
     if inv.vertex_count == 3:
         ok = ok and inv.complete
-    witness = None
-    if not ok:
-        witness = {
-            "vertices": inv.vertex_count,
-            "connected": inv.connected,
-            "diameter": _num(inv.diameter),
-            "complete": inv.complete,
-        }
-    return TheoremCheck("T3.diam3", applicable=True, passed=ok, witness=witness)
+    if ok:
+        return None
+    return {
+        "vertices": inv.vertex_count,
+        "connected": inv.connected,
+        "diameter": _num(inv.diameter),
+        "complete": inv.complete,
+    }
 
 
-def _check_card2(ctx: _RingContext) -> TheoremCheck:
+def _check_card2(ctx: _RingContext):
     """Exactly 2 vertices: the single possible edge exists iff Z(R) is an ideal."""
     inv = ctx.ia_inv
     if inv.vertex_count != 2:
-        return TheoremCheck("T3.card2", applicable=False, passed=None)
+        return _INAPPLICABLE
     edge = inv.edge_count == 1
-    ok = edge == ctx.z_ideal
-    witness = None if ok else {"edge": edge, "z_ideal": ctx.z_ideal}
-    return TheoremCheck("T3.card2", applicable=True, passed=ok, witness=witness)
+    return None if edge == ctx.z_ideal else {"edge": edge, "z_ideal": ctx.z_ideal}
 
 
-def _check_torsion_complete(ctx: _RingContext) -> TheoremCheck:
+def _check_torsion_complete(ctx: _RingContext):
     """The torsion graph is complete iff the compressed graph is complete."""
     tor = ctx.torsion
     n = tor.vertex_count
     tor_complete = tor.edge_count == n * (n - 1) // 2
-    ok = tor_complete == ctx.ia_inv.complete
-    witness = None
-    if not ok:
-        witness = {"torsion_complete": tor_complete, "ia_complete": ctx.ia_inv.complete}
-    return TheoremCheck("T3.torsion-complete", applicable=True, passed=ok, witness=witness)
+    if tor_complete == ctx.ia_inv.complete:
+        return None
+    return {"torsion_complete": tor_complete, "ia_complete": ctx.ia_inv.complete}
 
 
-def _check_torsion_diam(ctx: _RingContext) -> TheoremCheck:
+def _check_torsion_diam(ctx: _RingContext):
     """Connectivity transfers both ways; diameters agree past a single vertex."""
     tor = ctx.torsion
     tor_diam = diameter(tor)
@@ -478,40 +506,37 @@ def _check_torsion_diam(ctx: _RingContext) -> TheoremCheck:
     ok = tor_conn == ia_conn
     if ok and ctx.ia_inv.vertex_count > 1:
         ok = tor_diam == ctx.ia_inv.diameter
-    witness = None
-    if not ok:
-        witness = {
-            "torsion_connected": tor_conn,
-            "ia_connected": ia_conn,
-            "torsion_diameter": _num(tor_diam),
-            "ia_diameter": _num(ctx.ia_inv.diameter),
-        }
-    return TheoremCheck("T3.torsion-diam", applicable=True, passed=ok, witness=witness)
+    if ok:
+        return None
+    return {
+        "torsion_connected": tor_conn,
+        "ia_connected": ia_conn,
+        "torsion_diameter": _num(tor_diam),
+        "ia_diameter": _num(ctx.ia_inv.diameter),
+    }
 
 
-def _check_gcd_adj(ctx: _RingContext) -> TheoremCheck:
+def _check_gcd_adj(ctx: _RingContext):
     """For Z_n the brute-force graph equals the divisor/gcd form, label for label."""
     if len(ctx.factors) != 1:
-        return TheoremCheck("L4.gcd-adj", applicable=False, passed=None)
+        return _INAPPLICABLE
     symbolic = build_ia_zn_symbolic(dict(factorize(ctx.factors[0])), ctx.caps.graph)
     brute = ctx.ia
-    ok = set(brute.labels) == set(symbolic.labels) and brute.edge_labels() == symbolic.edge_labels()
-    witness = None
-    if not ok:
-        witness = {
-            "brute_vertices": sorted(brute.labels),
-            "symbolic_vertices": sorted(symbolic.labels),
-            "brute_edges": sorted(sorted(e) for e in brute.edge_labels()),
-            "symbolic_edges": sorted(sorted(e) for e in symbolic.edge_labels()),
-        }
-    return TheoremCheck("L4.gcd-adj", applicable=True, passed=ok, witness=witness)
+    if set(brute.labels) == set(symbolic.labels) and brute.edge_labels() == symbolic.edge_labels():
+        return None
+    return {
+        "brute_vertices": sorted(brute.labels),
+        "symbolic_vertices": sorted(symbolic.labels),
+        "brute_edges": sorted(sorted(e) for e in brute.edge_labels()),
+        "symbolic_edges": sorted(sorted(e) for e in symbolic.edge_labels()),
+    }
 
 
-def _check_three_primes(ctx: _RingContext) -> TheoremCheck:
+def _check_three_primes(ctx: _RingContext):
     """Z_n with at least 3 prime factors (with multiplicity): connected,
     diameter at most 2, girth 3; diameter exactly 2 given 2 distinct primes."""
     if len(ctx.factors) != 1 or sum(ctx.signature) < 3:
-        return TheoremCheck("L4.three-primes", applicable=False, passed=None)
+        return _INAPPLICABLE
     inv = ctx.ia_inv
     ok = (
         inv.connected
@@ -521,65 +546,56 @@ def _check_three_primes(ctx: _RingContext) -> TheoremCheck:
     )
     if len(ctx.signature) >= 2:  # at least two distinct primes: diameter exactly 2
         ok = ok and inv.diameter == 2
-    witness = None
-    if not ok:
-        witness = {
-            "n": ctx.factors[0],
-            "vertices": inv.vertex_count,
-            "connected": inv.connected,
-            "diameter": _num(inv.diameter),
-            "girth": _num(inv.girth),
-        }
-    return TheoremCheck("L4.three-primes", applicable=True, passed=ok, witness=witness)
+    if ok:
+        return None
+    return {
+        "n": ctx.factors[0],
+        "vertices": inv.vertex_count,
+        "connected": inv.connected,
+        "diameter": _num(inv.diameter),
+        "girth": _num(inv.girth),
+    }
 
 
-def _check_two_domains(ctx: _RingContext) -> TheoremCheck:
+_FIELD = (1,)  # a prime field's signature; a local factor Z_{p^k}'s is (k,)
+
+
+def _check_two_domains(ctx: _RingContext):
     """A product of exactly two prime fields: two isolated vertices."""
-    fac = ctx.factors
-    if len(fac) != 2 or not all(is_prime(n) for n in fac):
-        return TheoremCheck("T5.two-domains", applicable=False, passed=None)
+    if ctx.factor_signatures != (_FIELD, _FIELD):
+        return _INAPPLICABLE
     inv = ctx.ia_inv
     ok = inv.vertex_count == 2 and inv.edge_count == 0
-    witness = None
-    if not ok:
-        witness = {"vertices": inv.vertex_count, "edges": inv.edge_count}
-    return TheoremCheck("T5.two-domains", applicable=True, passed=ok, witness=witness)
+    return None if ok else {"vertices": inv.vertex_count, "edges": inv.edge_count}
 
 
-def _check_n_domains(ctx: _RingContext) -> TheoremCheck:
+def _check_n_domains(ctx: _RingContext):
     """A product of more than two prime fields: connected, diameter 2, girth 3."""
-    fac = ctx.factors
-    if len(fac) <= 2 or not all(is_prime(n) for n in fac):
-        return TheoremCheck("T5.n-domains", applicable=False, passed=None)
+    sigs = ctx.factor_signatures
+    if len(sigs) <= 2 or any(s != _FIELD for s in sigs):
+        return _INAPPLICABLE
     inv = ctx.ia_inv
-    ok = inv.connected and inv.diameter == 2 and inv.girth == 3
-    witness = None if ok else _inv_witness(inv)
-    return TheoremCheck("T5.n-domains", applicable=True, passed=ok, witness=witness)
+    return None if inv.connected and inv.diameter == 2 and inv.girth == 3 else _inv_witness(inv)
 
 
-def _check_artinian_local(ctx: _RingContext) -> TheoremCheck:
+def _check_artinian_local(ctx: _RingContext):
     """A product of local factors Z_{p^k}, each with k >= 2 (so each carries a
     nilpotent whose annihilator is the maximal ideal): connected, diameter 2,
     girth 3.  Field factors are excluded; those products belong to the
     domain-product or mixed cases."""
-    fac = ctx.factors
-    if len(fac) < 2:
-        return TheoremCheck("T5.artinian-local", applicable=False, passed=None)
-    for n in fac:
-        if not is_prime_power(n) or is_prime(n):
-            return TheoremCheck("T5.artinian-local", applicable=False, passed=None)
+    sigs = ctx.factor_signatures
+    if len(sigs) < 2 or any(len(s) != 1 or s[0] < 2 for s in sigs):
+        return _INAPPLICABLE
     inv = ctx.ia_inv
-    ok = inv.connected and inv.diameter == 2 and inv.girth == 3
-    witness = None if ok else _inv_witness(inv)
-    return TheoremCheck("T5.artinian-local", applicable=True, passed=ok, witness=witness)
+    return None if inv.connected and inv.diameter == 2 and inv.girth == 3 else _inv_witness(inv)
 
 
-def _check_mixed(ctx: _RingContext) -> TheoremCheck:
+def _check_mixed(ctx: _RingContext):
     """A product of two factors where at least one has a nonzero zero-divisor:
     connected, not complete, diameter at most 3, girth 3."""
-    fac = ctx.factors
-    if len(fac) != 2 or all(is_prime(n) for n in fac):
-        return TheoremCheck("T5.mixed", applicable=False, passed=None)
+    sigs = ctx.factor_signatures
+    if len(sigs) != 2 or sigs == (_FIELD, _FIELD):
+        return _INAPPLICABLE
     inv = ctx.ia_inv
     ok = (
         inv.connected
@@ -588,8 +604,7 @@ def _check_mixed(ctx: _RingContext) -> TheoremCheck:
         and inv.diameter <= 3
         and inv.girth == 3
     )
-    witness = None if ok else _inv_witness(inv)
-    return TheoremCheck("T5.mixed", applicable=True, passed=ok, witness=witness)
+    return None if ok else _inv_witness(inv)
 
 
 def _num(value):
@@ -628,6 +643,9 @@ _CHECK_FUNCS = {
     "T5.mixed": _check_mixed,
 }
 CHECK_IDS = tuple(_CHECK_FUNCS)
+# The outcomes that carry nothing of their ring, one per check id, shared by every report.
+_PASSED = {cid: TheoremCheck(cid, applicable=True, passed=True) for cid in CHECK_IDS}
+_NOT_APPLICABLE = {cid: TheoremCheck(cid, applicable=False, passed=None) for cid in CHECK_IDS}
 
 
 class _CheckIds(tuple):
@@ -651,21 +669,29 @@ def resolve_check_ids(checks) -> tuple[str, ...]:
 
 
 def _run_checks(ctx: _RingContext, ids) -> RingReport:
-    """Run the checks ids on one context; a check it cannot evaluate, or one
-    that would exceed a cap, is reported skipped with the reason."""
+    """Run the checks ids on one context and turn each verdict into its outcome; a
+    check it cannot evaluate, or one that would exceed a cap, is reported skipped
+    with the reason."""
     results = []
     unavailable = ctx.unavailable
     for cid in ids:
         reason = "not available in symbolic mode" if cid in unavailable else ""
         if not reason:
             try:
-                results.append(_CHECK_FUNCS[cid](ctx))
-                continue
+                verdict = _CHECK_FUNCS[cid](ctx)
             except CapExceededError as exc:
                 reason = str(exc)
-        results.append(
-            TheoremCheck(cid, applicable=False, passed=None, skipped=True, reason=reason)
-        )
+        if reason:
+            outcome = TheoremCheck(cid, applicable=False, passed=None, skipped=True, reason=reason)
+        elif verdict is None:
+            outcome = _PASSED[cid]
+        elif verdict is _INAPPLICABLE:
+            outcome = _NOT_APPLICABLE[cid]
+        elif isinstance(verdict, str):
+            outcome = TheoremCheck(cid, applicable=True, passed=True, reason=verdict)
+        else:
+            outcome = TheoremCheck(cid, applicable=True, passed=False, witness=verdict)
+        results.append(outcome)
     elapsed = (time.perf_counter_ns() - ctx.start_ns) // 1_000_000
     return RingReport(ring=ctx.ring_id, checks=results, timing_ms=int(elapsed))
 
@@ -721,48 +747,16 @@ class SweepConfig:
             raise ValueError(f"unknown sweep family {self.family!r}")
         if self.max_n < 2:
             raise ValueError("sweep bound must be at least 2")
+        if self.family in ("zn", "zn-symbolic") and self.max_n > _SIEVE_MAX:
+            raise ValueError(
+                f"sweep bound {self.max_n} above {_SIEVE_MAX}, the Z_n sieve's int32 range"
+            )
         if self.max_factors < 1:
             raise ValueError("max_factors must be at least 1")
         max_jobs = os.cpu_count() or 1
         if type(self.jobs) is not int or not 1 <= self.jobs <= max_jobs:
             raise ValueError(f"jobs must be an integer from 1 to {max_jobs}, got {self.jobs!r}")
         self.checks = resolve_check_ids(self.checks)
-
-
-@dataclass
-class CheckStats:
-    applicable: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    inapplicable: int = 0
-    failures: list = field(default_factory=list)
-    skip_reasons: Counter = field(default_factory=Counter)
-
-    def absorb(self, ring: str, check: TheoremCheck) -> None:
-        if check.skipped:
-            self.skipped += 1
-            self.skip_reasons[check.reason] += 1
-        elif not check.applicable:
-            self.inapplicable += 1
-        else:
-            self.applicable += 1
-            if check.passed:
-                self.passed += 1
-            else:
-                self.failed += 1
-                self.failures.append({"ring": ring, "witness": check.witness})
-
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped": self.skipped,
-            "inapplicable": self.inapplicable,
-            "failures": self.failures,
-            "skip_reasons": dict(sorted(self.skip_reasons.items())),
-        }
 
 
 @dataclass
@@ -813,6 +807,9 @@ def _first_primes(k: int) -> list[int]:
     return list(itertools.islice(filter(is_prime, itertools.count(2)), k))
 
 
+_SIEVE_MAX = 2**31 - 1  # the largest n the int32 arrays of _zn_signatures hold
+
+
 def _zn_signatures(max_n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Signature ids of 0..max_n (0 and 1 get id 0, the empty signature) and the
     signature of each id, from one smallest-prime-factor sieve.  For n in
@@ -845,7 +842,7 @@ def _zn_signatures(max_n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return ids, list(index)
 
 
-# Checks that read the factors beyond the signature (their count, order or primality).
+# Checks that read the factors beyond the signature: their count, or each one's signature.
 _FACTOR_CHECKS = frozenset(cid for cid in CHECK_IDS if cid.startswith("T5.")) | {"L4.three-primes"}
 
 
@@ -864,7 +861,7 @@ def _sweep_entries(config: SweepConfig):
         specs = [RingSpec(tuple(primes[:k])) for k in range(2, config.max_n + 1)]
     if _FACTOR_CHECKS.isdisjoint(config.checks):  # the signature decides every check selected
         return [(s.ring_id(), s, _signature(s.factors)) for s in specs]
-    return [(s.ring_id(), s, tuple(_signature((n,)) for n in s.factors)) for s in specs]
+    return [(s.ring_id(), s, _factor_signatures(s.factors)) for s in specs]
 
 
 class _ShapeSweep:

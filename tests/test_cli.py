@@ -443,6 +443,25 @@ def test_unwritable_out_path_exit_two(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_huge_zn_bound_and_out_of_memory_exit_two(capsys, monkeypatch):
+    """A bound past the sieve's int32 range is rejected before the sieve runs, and
+    running out of memory ends with a message; the sieve is stubbed, so nothing
+    large is allocated."""
+
+    def exhausted(max_n):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr(theorems, "_zn_signatures", exhausted)
+    for bound, message in (
+        (2**31, "error: sweep bound 2147483648 above 2147483647, the Z_n sieve's int32 range\n"),
+        (3 * 10**8, "error: out of memory: Unable to allocate 8.00 GiB\n"),
+    ):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "zn-symbolic", "--max", str(bound), "--checks", "T3.girth"
+        )
+        assert (code, out, err) == (2, "", message)
+
+
 def test_nonpositive_cap_in_env_rejected(capsys, monkeypatch):
     monkeypatch.setenv("IAGRAPH_CAPS", "element=0")
     code, out, err = run_cli(capsys, "verify", "--ring", "Z12")

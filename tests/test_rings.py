@@ -767,7 +767,7 @@ def test_validate_closure_matches_loop_on_random_sets():
         ring, members = case
         sub = Subring(ring, members)
         if loop_is_closed(ring.spec.factors, members):
-            sub.validate_closure()  # also fills the zero-product rows annihilator_set reads
+            sub.validate_closure()
             for x in members:
                 ann = {y for y in members if oracle_mul(ring.spec.factors, x, y) == ring.zero}
                 assert sub.annihilator_set(x) == ann

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +186,12 @@ def test_summary_counts_match():
         1 for c in report.checks if c.applicable and not c.skipped
     )
     assert s["passed"] + s["failed"] == s["applicable"]
+
+
+def test_readme_check_table_lists_every_check_in_order():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Checks\n", 1)[1].split("\n## ", 1)[0]
+    assert tuple(re.findall(r"^\| `([^`]+)` \|", section, re.M)) == CHECK_IDS
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +581,9 @@ def test_shape_sweep_matches_per_ring_reference(cold_signatures, config):
 
 
 def test_theorem_checks_are_frozen():
-    check = by_id(check_ring("Z12", ("T3.girth",)), "T3.girth")
+    """A plain pass is one outcome shared by every report, so it must stay frozen."""
+    check, again = (by_id(check_ring("Z12", ("T3.girth",)), "T3.girth") for _ in range(2))
+    assert check is again
     with pytest.raises(dataclasses.FrozenInstanceError):
         check.passed = False
 
@@ -637,6 +647,10 @@ def test_sweep_rejects_bad_config():
             SweepConfig(family="zn", max_n=10, jobs=jobs)
     with pytest.raises(ValueError, match="unknown check id"):
         SweepConfig(family="zn", max_n=10, checks=("T9.nope",))
+    for family in ("zn", "zn-symbolic"):  # the sieve's int32 range; a config allocates nothing
+        with pytest.raises(ValueError, match="int32 range"):
+            SweepConfig(family=family, max_n=2**31)
+        assert SweepConfig(family=family, max_n=2**31 - 1).max_n == 2**31 - 1
 
 
 def test_sweep_config_resolves_check_ids_once():
