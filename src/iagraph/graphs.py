@@ -171,11 +171,10 @@ def build_torsion(
     not via the class partition, so this build stays an independent object
     to compare the compressed graph against.
     """
-    zero = ring.zero
-    verts = sorted(x for x in ring.zero_divisor_set(cap) if x != zero)
+    verts, keys = ring.nonzero_zero_divisors_with_keys(cap)
     if len(verts) > vertex_cap:
         raise CapExceededError(f"{len(verts)} vertices above graph cap {vertex_cap}")
-    return _meet_graph(ring, [format_element(x) for x in verts], ring.ann_keys(verts))
+    return _meet_graph(ring, [format_element(x) for x in verts], keys)
 
 
 def build_total(

@@ -23,18 +23,21 @@ brute-force engine on ``FiniteRing``:
 * generated subrings on sorted code arrays: the additive subgroup grows by
   the cosets of each generator's multiples, and products of the generators
   that grew it are the next generators, until none falls outside;
-* ``Subring.validate_closure``, one blocked scan per operation, whose *
-  blocks also fill the subring's zero-product matrix, so the graph built on
-  a validated subring scans no pair twice.  Membership of a block's codes is
-  read from one bool table over the parent's codes, built once per call,
-  when the parent's order is within ``DEFAULT_ELEMENT_CAP`` (every generated
-  subring's is); a larger parent, such as Z_{10^12}, is looked up with
-  ``np.isin`` on the sorted member codes instead;
+* ``Subring.validate_closure``, one blocked scan per operation, for direct
+  callers and for a proper generated subring in T2.subring (a generated
+  subring of the ring's own order is the ring, closed by construction).
+  Its * blocks also fill the subring's zero-product matrix, so the graph
+  built on a validated subring scans no pair twice.  Membership of a
+  block's codes is read from one bool table over the parent's codes, built
+  once per call, when the parent's order is within ``DEFAULT_ELEMENT_CAP``
+  (a generated subring's always is); a larger parent, such as Z_{10^12}, is
+  looked up with ``np.isin`` on the sorted member codes instead;
 * the annihilator classes of Z*(R), grouped once by a 1-D class code and
   cached on the ring.
 
-Per variant come the Z(R) mask, the class code, opaque annihilator keys and
-their meet matrix.  Product rings use closed forms on the ``AnnKey`` g,
+Per variant come the Z(R) mask, the class code, opaque annihilator keys
+(also read by position as one array, for the torsion graph) and their meet
+matrix.  Product rings use closed forms on the ``AnnKey`` g,
 g[i] = n_i // gcd(n_i, x_i): x is a zero-divisor iff some g[i] < n_i, and
 equal keys mean equal annihilators.  ann(x) and ann(y) meet beyond 0 iff
 some prime p | n_i divides both n_i // g[i] and n_i // h[i], the CRT rule
@@ -241,6 +244,10 @@ class FiniteRing:
         """Opaque annihilator keys of the elements xs, as ann_meet_matrix takes them."""
         raise NotImplementedError
 
+    def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
+        """ann_keys of the elements at these positions of elements(), as one array."""
+        raise NotImplementedError
+
     def ann_meet_matrix(self, keys) -> np.ndarray:
         """Boolean matrix: [i, j] iff the annihilators of keys i and j meet beyond 0."""
         raise NotImplementedError
@@ -359,6 +366,14 @@ class FiniteRing:
         """Z(R), with 0 included by convention."""
         return set(self._zero_divisors(cap))
 
+    def nonzero_zero_divisors_with_keys(
+        self, cap: int | None = DEFAULT_ELEMENT_CAP
+    ) -> tuple[list[Element], np.ndarray]:
+        """Z*(R) in ascending order, and their annihilator keys as one array."""
+        elems = self.elements(cap)
+        at = np.flatnonzero(self._zero_divisor_mask)[1:]  # elements()[0] is 0
+        return [elems[i] for i in at], self._ann_keys_at(at)
+
     def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """ann(x), its own row of the zero-product matrix, computed alone."""
         elems = self.elements(cap)
@@ -431,7 +446,8 @@ class FiniteRing:
         first one already inside, whose cosets are then disjoint.  Products
         distribute over sums, so the subgroup is closed under * once the
         products of the generators that grew it lie inside; those outside
-        are the next round's generators.
+        are the next round's generators.  Growth stops once the subgroup is
+        the whole ring.
         """
         self.elements(cap)  # enforce the cap before any closure work
         gens = list(gens)
@@ -441,8 +457,8 @@ class FiniteRing:
         mods, strides = np.array(self.spec.factors), np.array(self._strides)
         group = np.zeros(1, dtype=np.int64)  # sorted codes of the subgroup so far
         basis = []  # the generators that grew it
-        todo = self._as_matrix(gens + [self.one] * include_one)
-        while len(todo):
+        todo = self._as_matrix([self.one] * include_one + gens)  # 1 spans Z_n at once
+        while len(todo) and len(group) < self.order:
             for g in todo:
                 code = g @ strides
                 at = group.searchsorted(code)
@@ -458,9 +474,12 @@ class FiniteRing:
                     axis=None,
                 )
                 basis.append(g)
-            basis_rows = self._as_matrix(basis)
-            products = self._pair_codes(np.multiply, basis_rows, basis_rows)
-            todo = self._rows(products[~np.isin(products, group)])
+                if len(group) == self.order:  # the whole ring: every product lies inside
+                    break
+            else:
+                basis_rows = self._as_matrix(basis)
+                products = self._pair_codes(np.multiply, basis_rows, basis_rows)
+                todo = self._rows(products[~np.isin(products, group)])
         if len(group) == self.order:
             members = frozenset(self.elements(cap))
         else:
@@ -583,6 +602,9 @@ class ProductRing(FiniteRing):
     def ann_keys(self, xs) -> list[AnnKey]:
         gcd, mods = math.gcd, self.mods
         return [tuple(n // gcd(a, n) for a, n in zip(x, mods)) for x in xs]
+
+    def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
+        return self._key_matrix[positions]
 
     def ann_meet_matrix(self, keys) -> np.ndarray:
         """In Z_n, ann(x) meets ann(y) in (lcm(g, h)), nonzero iff a prime p | n divides
@@ -710,8 +732,11 @@ class Subring(FiniteRing):
         """The position of each element in elements(), which indexes its row."""
         return [self._index(x) for x in xs]
 
+    def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
+        return positions
+
     def ann_meet_matrix(self, keys) -> np.ndarray:
-        rows = self._zero_product_matrix[list(keys)].astype(np.int64)
+        rows = self._zero_product_matrix[np.asarray(keys, dtype=np.intp)].astype(np.int64)
         return rows @ rows.T >= 2  # 0 annihilates everything; need one more
 
 

@@ -387,15 +387,24 @@ def _check_goldie(ctx: _RingContext):
 
 
 def _check_subring(ctx: _RingContext):
-    """The subring generated by class representatives and 1 has the same graph."""
+    """The subring S generated by class representatives and 1 has the same graph.
+
+    S contains 1.  When S has R's order it is R itself: its members are R's
+    elements, so it is closed and its graph is R's, and neither the closure
+    scan nor a second graph build can tell anything.  A proper S gets both.
+    The isomorphism test runs either way, so the iso cap skips alike.
+    """
     if ctx.ring.order > ctx.caps.subring:
         raise CapExceededError(
             f"order {ctx.ring.order} above subring cap {ctx.caps.subring}"
         )
     reps = [members[0] for _, members in ctx.ring.annihilator_classes(ctx.caps.element)]
     sub = ctx.ring.subring_generated(reps, include_one=True, cap=ctx.caps.element)
-    sub.validate_closure()
-    ia_sub = build_ia(sub, ctx.caps.element, ctx.caps.graph)
+    if sub.order == ctx.ring.order:
+        ia_sub = ctx.ia
+    else:
+        sub.validate_closure()
+        ia_sub = build_ia(sub, ctx.caps.element, ctx.caps.graph)
     ok, _ = is_isomorphic(ia_sub, ctx.ia, ctx.caps.iso)
     if ok:
         return None

@@ -5,6 +5,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from iagraph.graphs import (
@@ -21,7 +22,7 @@ from iagraph.graphs import (
 )
 from iagraph.invariants import is_isomorphic
 from iagraph.rings import CapExceededError, factorize, format_element, product_ring
-from iagraph.theorems import Caps, _RingContext, _run_checks
+from iagraph.theorems import Caps, _RingContext, _run_checks, enumerate_product_specs
 
 from conftest import oracle_add, oracle_annihilator, oracle_zero_divisors, ring_elements
 
@@ -181,6 +182,38 @@ def test_torsion_matches_brute_force(small_ring_ids):
                     oracle_annihilator(mods, x) & oracle_annihilator(mods, verts[j])
                 ) != {zero}
                 assert g.adjacent(i, j) == brute, (rid, x, verts[j])
+
+
+def test_torsion_on_subrings_matches_annihilator_sets(generated_subrings):
+    """Subring keys are positions into the zero-product matrix; each pair is
+    checked against the two annihilators computed row by row."""
+    for sub in generated_subrings:
+        g = build_torsion(sub)
+        zero = sub.zero
+        verts = sorted(x for x in sub.zero_divisor_set() if x != zero)
+        assert g.labels == tuple(format_element(x) for x in verts), sub
+        anns = [sub.annihilator_set(x) for x in verts]
+        for i in range(len(verts)):
+            for j in range(i + 1, len(verts)):
+                assert g.adjacent(i, j) == ((anns[i] & anns[j]) != {zero}), (sub, i, j)
+
+
+def test_whole_ring_subring_graph_matches_ring_graph():
+    """T2.subring accepts a generated subring of the ring's own order without
+    building its graph.  That S really is the ring, and its zero-product graph
+    is the closed-form graph label for label, on every zn and products ring of
+    order at most 120."""
+    specs = [f"Z{n}" for n in range(2, 121)]
+    specs += [spec.ring_id() for spec in enumerate_product_specs(120, 3)]
+    for rid in specs:
+        ring = product_ring(rid)
+        reps = [members[0] for _, members in ring.annihilator_classes()]
+        sub = ring.subring_generated(reps, include_one=True)
+        assert sub.order == ring.order, rid
+        sub.validate_closure()
+        ia, ia_sub = build_ia(ring), build_ia(sub)
+        assert ia_sub.labels == ia.labels, rid
+        assert np.array_equal(ia_sub.adj, ia.adj), rid
 
 
 def test_torsion_collapse_reproduces_compressed_graph(small_ring_ids):

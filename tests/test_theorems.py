@@ -12,7 +12,7 @@ import pytest
 from iagraph import theorems
 from iagraph.graphs import build_ia, build_ia_zn_symbolic
 from iagraph.invariants import invariants
-from iagraph.rings import UnsupportedVariantError, factorize, product_ring
+from iagraph.rings import ProductRing, Subring, UnsupportedVariantError, factorize, product_ring
 from iagraph.theorems import (
     _SIGNATURE_CACHE,
     SelfCheckError,
@@ -440,6 +440,49 @@ def test_cross_check_once_per_signature_within_the_element_cap(cold_signatures, 
     assert cold_signatures._CROSS_CHECKED == {(1, 1), (2, 1)}
     check_ring("Z8xZ3", ("T3.girth",), Caps(graph=1))  # over the graph cap: nothing to compare
     assert calls[-1] == "Z8xZ3" and (3, 1) not in cold_signatures._CROSS_CHECKED
+
+
+def _closure_scans(monkeypatch):
+    """Record every subring that Subring.validate_closure scans."""
+    scans = []
+    original = Subring.validate_closure
+    monkeypatch.setattr(Subring, "validate_closure", lambda sub: scans.append(sub) or original(sub))
+    return scans
+
+
+def _generate(monkeypatch, members):
+    """Make subring_generated return a subring of the given members."""
+    monkeypatch.setattr(
+        ProductRing,
+        "subring_generated",
+        lambda self, gens, include_one=False, cap=None: Subring(self, frozenset(members)),
+    )
+
+
+def test_subring_of_the_whole_ring_is_accepted_without_a_closure_scan(monkeypatch):
+    scans = _closure_scans(monkeypatch)
+    for rid in ("Z12", "Z4xZ6", "Z2xZ3xZ5"):
+        assert by_id(check_ring(rid, ("T2.subring",)), "T2.subring").passed, rid
+    assert scans == []
+
+
+def test_proper_subring_is_closure_checked_and_compared(monkeypatch):
+    scans = _closure_scans(monkeypatch)
+    _generate(monkeypatch, [(0,), (2,), (4,), (6,)])  # 2Z_8: one edge, as Z8's graph
+    assert by_id(check_ring("Z8", ("T2.subring",)), "T2.subring").passed
+    assert [sub.order for sub in scans] == [4]
+
+
+def test_proper_subring_that_is_not_closed_raises(monkeypatch):
+    _generate(monkeypatch, [(0,), (2,)])  # 2 + 2 = 4 is outside
+    with pytest.raises(ValueError, match="not closed"):
+        check_ring("Z8", ("T2.subring",))
+
+
+def test_whole_ring_subring_keeps_the_isomorphism_cap_skip():
+    check = by_id(check_ring("Z4xZ6xZ12", ("T2.subring",)), "T2.subring")
+    assert check.skipped
+    assert check.reason == "isomorphism cap 64 exceeded (70 vs 70 vertices)"
 
 
 def test_check_ring_takes_product_rings_only(generated_subrings):
