@@ -12,39 +12,36 @@ brute-force engine on ``FiniteRing``:
 * ``_matrix``: the elements as a cached order x arity int64 matrix;
 * one mixed-radix code, sum of x_i * n_{i+1} * ... * n_k, for elements and
   for op(a_i, b_j) over pairs; ``_rows`` decodes codes back to elements.
-  Codes ascend with elements(), and a sum or difference of residues is
-  reduced by one unsigned minimum rather than a division;
+  Codes ascend with elements(), and a sum of residues is reduced by one
+  unsigned minimum rather than a division.  A ring whose order passes the
+  int64 range gets no codes: ``CapExceededError``, not a wrapped code;
 * zero-product rows for any list of elements, and the "x + y outside Z(R)"
   scan, built in blocks of at most ``_BLOCK_PAIRS`` pairs, so memory stays
   bounded and a scan stops at its first hit.  The full order x order
-  zero-product matrix is cached only where every row is needed, for a
-  subring's Z(R) mask and class codes; ``annihilator_set`` always computes
+  zero-product matrix is cached only where every row is needed, for the
+  default Z(R) mask and class codes; ``annihilator_set`` always computes
   its element's own row;
 * generated subrings on sorted code arrays: the additive subgroup grows by
   the cosets of each generator's multiples, and products of the generators
   that grew it are the next generators, until none falls outside;
-* ``Subring.validate_closure``, one blocked scan per operation, for direct
-  callers and for a proper generated subring in T2.subring (a generated
-  subring of the ring's own order is the ring, closed by construction).
-  Its * blocks also fill the subring's zero-product matrix, so the graph
-  built on a validated subring scans no pair twice.  Membership of a
-  block's codes is read from one bool table over the parent's codes, built
-  once per call, when the parent's order is within ``DEFAULT_ELEMENT_CAP``
-  (a generated subring's always is); a larger parent, such as Z_{10^12}, is
-  looked up with ``np.isin`` on the sorted member codes instead;
+* ``Subring.validate_closure``, one blocked ``np.isin`` scan of the + and *
+  codes against the member codes, for direct callers and for a proper
+  generated subring in T2.subring (a generated subring of the ring's own
+  order is the ring, closed by construction);
 * the annihilator classes of Z*(R), grouped once by a 1-D class code and
   cached on the ring.
 
-Per variant come the Z(R) mask, the class code, opaque annihilator keys
-(also read by position as one array, for the torsion graph) and their meet
-matrix.  Product rings use closed forms on the ``AnnKey`` g,
-g[i] = n_i // gcd(n_i, x_i): x is a zero-divisor iff some g[i] < n_i, and
-equal keys mean equal annihilators.  ann(x) and ann(y) meet beyond 0 iff
-some prime p | n_i divides both n_i // g[i] and n_i // h[i], the CRT rule
-``shared_support`` evaluates for the symbolic graphs too.  Subrings read the
-zero-product matrix, since their annihilators need not be principal per
-coordinate; the brute-force rows are also the oracle the closed forms are
-tested against.
+The Z(R) mask, the class code, opaque annihilator keys (also read by
+position as one array, for the torsion graph) and their meet matrix default
+to the zero-product matrix: a key is a position in elements(), whose row is
+the annihilator.  That serves any variant, since an annihilator need not be
+principal per coordinate; closed forms override the default.  Product rings
+use closed forms on the ``AnnKey`` g, g[i] = n_i // gcd(n_i, x_i): x is a
+zero-divisor iff some g[i] < n_i, and equal keys mean equal annihilators.
+ann(x) and ann(y) meet beyond 0 iff some prime p | n_i divides both
+n_i // g[i] and n_i // h[i], the CRT rule ``shared_support`` evaluates for
+the symbolic graphs too.  The brute-force rows are also the oracle the
+closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -208,7 +205,10 @@ def _blocks(count: int, width: int):
 
 
 class FiniteRing:
-    """Shared surface of product rings and their subrings, and the brute-force engine."""
+    """Shared surface of product rings and their subrings, and the brute-force engine.
+
+    A variant supplies its members and its parent product; checked arithmetic
+    and the zero-product annihilator path are inherited."""
 
     spec: RingSpec
 
@@ -224,37 +224,65 @@ class FiniteRing:
     def contains(self, x: Element) -> bool:
         raise NotImplementedError
 
-    def add(self, x: Element, y: Element) -> Element:
-        raise NotImplementedError
-
-    def mul(self, x: Element, y: Element) -> Element:
-        raise NotImplementedError
-
-    def neg(self, x: Element) -> Element:
-        raise NotImplementedError
-
     def parent_product(self) -> "ProductRing":
         raise NotImplementedError
 
-    # --- per-variant annihilator data ------------------------------------
-    # Each variant also caches, over elements(), ``_zero_divisor_mask`` (Z(R),
-    # 0 included) and ``_class_codes`` (integers, equal on two zero-divisors
-    # iff their annihilators are).
+    # --- coordinate-wise arithmetic on members ----------------------------
+    def _require(self, *xs: Element) -> None:
+        for x in xs:
+            if not self.contains(x):
+                raise ValueError(f"{x} is not a member of {self!r}")
+
+    def add(self, x: Element, y: Element) -> Element:
+        self._require(x, y)
+        return tuple((a + b) % n for a, b, n in zip(x, y, self.spec.factors))
+
+    def mul(self, x: Element, y: Element) -> Element:
+        self._require(x, y)
+        return tuple((a * b) % n for a, b, n in zip(x, y, self.spec.factors))
+
+    def neg(self, x: Element) -> Element:
+        self._require(x)
+        return tuple((-a) % n for a, n in zip(x, self.spec.factors))
+
+    # --- annihilator data, by default from the zero-product matrix --------
+    @cached_property
+    def _zero_divisor_mask(self) -> np.ndarray:
+        """Z(R) over elements(), 0 included."""
+        mask = self._zero_product_matrix.sum(axis=1) >= 2  # killed by some nonzero member
+        mask[0] = True  # 0 is in Z(R) by convention
+        return mask
+
+    @cached_property
+    def _class_codes(self) -> np.ndarray:
+        """Integers over elements(), equal on two zero-divisors iff their annihilators are."""
+        ids: dict[bytes, int] = {}
+        return np.array(
+            [ids.setdefault(row.tobytes(), len(ids)) for row in self._zero_product_matrix],
+            dtype=np.int64,
+        )
+
     def ann_keys(self, xs) -> list:
-        """Opaque annihilator keys of the elements xs, as ann_meet_matrix takes them."""
-        raise NotImplementedError
+        """Opaque annihilator keys of the elements xs, as ann_meet_matrix takes them:
+        by default the position of each in elements(), which indexes its row."""
+        return [self._index(x) for x in xs]
 
     def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
         """ann_keys of the elements at these positions of elements(), as one array."""
-        raise NotImplementedError
+        return positions
 
     def ann_meet_matrix(self, keys) -> np.ndarray:
         """Boolean matrix: [i, j] iff the annihilators of keys i and j meet beyond 0."""
-        raise NotImplementedError
+        rows = self._zero_product_matrix[np.asarray(keys, dtype=np.intp)].astype(np.int64)
+        return rows @ rows.T >= 2  # 0 annihilates everything; need one more
 
     # --- the brute-force engine ------------------------------------------
     @cached_property
     def _strides(self) -> tuple[int, ...]:
+        if self.spec.order - 1 > _INT64_MAX:
+            raise CapExceededError(
+                f"{self.spec.ring_id()} has order {self.spec.order}, past int64 element codes"
+            )
         mods = self.spec.factors
         return tuple(math.prod(mods[i + 1 :]) for i in range(len(mods)))
 
@@ -288,7 +316,7 @@ class FiniteRing:
 
     def _pair_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Codes of op(a_i, b_j) for element rows a_i of a and b_j of b, whose
-        coordinates are residues 0 <= x < n; op is np.add, np.subtract or np.multiply."""
+        coordinates are residues 0 <= x < n; op is np.add or np.multiply."""
         out = np.zeros((len(a), len(b)), dtype=np.int64)
         residues = np.empty_like(out)
         for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
@@ -299,11 +327,10 @@ class FiniteRing:
                 if op is np.multiply:
                     residues %= n
                 else:
-                    # Sums lie in [0, 2n) and differences in (-n, n).  Read as
-                    # uint64, r - n wraps above r when r < n and r + n wraps
-                    # below r when r < 0, so one minimum reduces either.
+                    # Sums lie in [0, 2n).  Read as uint64, r - n wraps above r
+                    # when r < n, so one minimum reduces them.
                     u = residues.view(np.uint64)
-                    np.minimum(u, u - n if op is np.add else u + n, out=u)
+                    np.minimum(u, u - n, out=u)
             residues *= s
             out += residues
         return out
@@ -524,14 +551,6 @@ class ProductRing(FiniteRing):
     def parent_product(self) -> "ProductRing":
         return self
 
-    # --- element plumbing --------------------------------------------------
-    def _validate(self, x: Element) -> None:
-        if len(x) != self.arity:
-            raise ValueError(f"element {x} has arity {len(x)}, ring expects {self.arity}")
-        for a, n in zip(x, self.mods):
-            if not (0 <= a < n):
-                raise ValueError(f"coordinate {a} of {x} out of range for modulus {n}")
-
     def contains(self, x: Element) -> bool:
         return len(x) == self.arity and all(0 <= a < n for a, n in zip(x, self.mods))
 
@@ -547,30 +566,15 @@ class ProductRing(FiniteRing):
             self._element_cache = tuple(cartesian(*[range(n) for n in self.mods]))
         return self._element_cache
 
-    # --- arithmetic ----------------------------------------------------------
-    def add(self, x: Element, y: Element) -> Element:
-        self._validate(x)
-        self._validate(y)
-        return tuple((a + b) % n for a, b, n in zip(x, y, self.mods))
-
-    def mul(self, x: Element, y: Element) -> Element:
-        self._validate(x)
-        self._validate(y)
-        return tuple((a * b) % n for a, b, n in zip(x, y, self.mods))
-
-    def neg(self, x: Element) -> Element:
-        self._validate(x)
-        return tuple((-a) % n for a, n in zip(x, self.mods))
-
     # --- zero divisors and annihilators, closed forms ----------------------
     def is_zero_divisor(self, x: Element) -> bool:
         """gcd test per coordinate; gcd(n, 0) = n puts 0 in Z(R) as wanted."""
-        self._validate(x)
+        self._require(x)
         return any(math.gcd(a, n) != 1 for a, n in zip(x, self.mods))
 
     def annihilator_key(self, x: Element) -> AnnKey:
         """Per-coordinate principal generator of ann(x): g[i] = n_i // gcd(n_i, x_i)."""
-        self._validate(x)
+        self._require(x)
         return self.ann_keys([x])[0]
 
     def expand_annihilator_key(
@@ -627,9 +631,8 @@ class ProductRing(FiniteRing):
 class Subring(FiniteRing):
     """An element-set subring of a product ring.
 
-    Arithmetic delegates to the parent; every annihilator question is
-    answered from the zero-product matrix of the members, never by key
-    arithmetic.
+    Its annihilators come from the zero-product matrix of the members, the
+    default of ``FiniteRing``, never by key arithmetic.
     """
 
     def __init__(self, parent: ProductRing, members: frozenset[Element]):
@@ -670,74 +673,20 @@ class Subring(FiniteRing):
     def contains(self, x: Element) -> bool:
         return x in self.members
 
-    def _check_member(self, x: Element) -> None:
-        if x not in self.members:
-            raise ValueError(f"{x} is not a member of the subring")
-
-    def add(self, x: Element, y: Element) -> Element:
-        self._check_member(x)
-        self._check_member(y)
-        return self.parent.add(x, y)
-
-    def mul(self, x: Element, y: Element) -> Element:
-        self._check_member(x)
-        self._check_member(y)
-        return self.parent.mul(x, y)
-
-    def neg(self, x: Element) -> Element:
-        self._check_member(x)
-        return self.parent.neg(x)
-
     def validate_closure(self) -> None:
-        """Raise ValueError unless the members are closed under +, * and additive
-        inverse.  The * scan also fills the cached zero-product matrix."""
+        """Raise ValueError unless the members are closed under + and *.  A finite
+        set closed under + is closed under additive inverse: -x = (k - 1)x for x
+        of additive order k."""
         mat = self._matrix
-        zero = mat[:1]  # elements()[0] is 0, and -x = 0 - x
-        table = None
-        if self.parent.order <= DEFAULT_ELEMENT_CAP:
-            table = np.zeros(self.parent.order, dtype=bool)
-            table[self._codes] = True
-        zero_products = np.empty((len(mat), len(mat)), dtype=bool)
-        for name, op, a in (("+", np.add, mat), ("*", np.multiply, mat), ("-", np.subtract, zero)):
-            for rows in _blocks(len(a), len(mat)):
-                codes = self._pair_codes(op, a[rows], mat)
-                inside = np.isin(codes, self._codes) if table is None else table[codes]
-                if not inside.all():
+        for name, op in (("+", np.add), ("*", np.multiply)):
+            for rows in _blocks(len(mat), len(mat)):
+                if not np.isin(self._pair_codes(op, mat[rows], mat), self._codes).all():
                     raise ValueError(f"subring not closed under {name}")
-                if op is np.multiply:
-                    zero_products[rows] = codes == 0
-        self._zero_product_matrix = zero_products
 
     def annihilator_key(self, x: Element):
         raise UnsupportedVariantError(
             "annihilator keys are defined on product rings only; use annihilator_set"
         )
-
-    # --- annihilators from the zero-product matrix ------------------------
-    @cached_property
-    def _zero_divisor_mask(self) -> np.ndarray:
-        mask = self._zero_product_matrix.sum(axis=1) >= 2  # killed by some nonzero member
-        mask[0] = True  # 0 is in Z(R) by convention
-        return mask
-
-    @cached_property
-    def _class_codes(self) -> np.ndarray:
-        ids: dict[bytes, int] = {}
-        return np.array(
-            [ids.setdefault(row.tobytes(), len(ids)) for row in self._zero_product_matrix],
-            dtype=np.int64,
-        )
-
-    def ann_keys(self, xs) -> list[int]:
-        """The position of each element in elements(), which indexes its row."""
-        return [self._index(x) for x in xs]
-
-    def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
-        return positions
-
-    def ann_meet_matrix(self, keys) -> np.ndarray:
-        rows = self._zero_product_matrix[np.asarray(keys, dtype=np.intp)].astype(np.int64)
-        return rows @ rows.T >= 2  # 0 annihilates everything; need one more
 
 
 def product_ring(text_or_spec) -> ProductRing:

@@ -202,7 +202,8 @@ def test_whole_ring_subring_graph_matches_ring_graph():
     """T2.subring accepts a generated subring of the ring's own order without
     building its graph.  That S really is the ring, and its zero-product graph
     is the closed-form graph label for label, on every zn and products ring of
-    order at most 120."""
+    order at most 120.  So are its Z(R) and its torsion graph: the inherited
+    zero-product mask and positional keys against ProductRing's key forms."""
     specs = [f"Z{n}" for n in range(2, 121)]
     specs += [spec.ring_id() for spec in enumerate_product_specs(120, 3)]
     for rid in specs:
@@ -214,6 +215,10 @@ def test_whole_ring_subring_graph_matches_ring_graph():
         ia, ia_sub = build_ia(ring), build_ia(sub)
         assert ia_sub.labels == ia.labels, rid
         assert np.array_equal(ia_sub.adj, ia.adj), rid
+        assert sub.zero_divisor_set() == ring.zero_divisor_set(), rid
+        tor, tor_sub = build_torsion(ring), build_torsion(sub)
+        assert tor_sub.labels == tor.labels, rid
+        assert np.array_equal(tor_sub.adj, tor.adj), rid
 
 
 def test_torsion_collapse_reproduces_compressed_graph(small_ring_ids):

@@ -194,6 +194,20 @@ def test_readme_check_table_lists_every_check_in_order():
     assert tuple(re.findall(r"^\| `([^`]+)` \|", section, re.M)) == CHECK_IDS
 
 
+def test_readme_library_example_runs():
+    """The Python block under "## Library use" runs as written, with the
+    counts its comments state."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    graph, report = namespace["graph"], namespace["report"]
+    assert (graph.vertex_count, graph.edge_count) == (7, 17)
+    assert (report.diameter, report.girth) == (2, 3)
+    assert namespace["verdict"] and graph.adj.shape == (7, 7)
+
+
 # ---------------------------------------------------------------------------
 # caps and skips
 
