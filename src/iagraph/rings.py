@@ -12,9 +12,8 @@ brute-force engine on ``FiniteRing``:
 * ``_matrix``: the elements as a cached order x arity int64 matrix;
 * one mixed-radix code, sum of x_i * n_{i+1} * ... * n_k, for elements and
   for op(a_i, b_j) over pairs; ``_rows`` decodes codes back to elements.
-  Codes ascend with elements(), and a sum of residues is reduced by one
-  unsigned minimum rather than a division.  A ring whose order passes the
-  int64 range gets no codes: ``CapExceededError``, not a wrapped code;
+  Codes ascend with elements().  A ring whose order passes the int64 range
+  gets no codes: ``CapExceededError``, not a wrapped code;
 * zero-product rows for any list of elements, and the "x + y outside Z(R)"
   scan, built in blocks of at most ``_BLOCK_PAIRS`` pairs, so memory stays
   bounded and a scan stops at its first hit.  The full order x order
@@ -324,13 +323,7 @@ class FiniteRing:
                 residues[...] = op.outer(a[:, c].astype(object), b[:, c].astype(object)) % n
             else:
                 op.outer(a[:, c], b[:, c], out=residues)
-                if op is np.multiply:
-                    residues %= n
-                else:
-                    # Sums lie in [0, 2n).  Read as uint64, r - n wraps above r
-                    # when r < n, so one minimum reduces them.
-                    u = residues.view(np.uint64)
-                    np.minimum(u, u - n, out=u)
+                residues %= n
             residues *= s
             out += residues
         return out

@@ -29,14 +29,16 @@ its brute-force graph and its closed forms against the engine's scans; a
 zn-symbolic sweep rebuilds the divisor graph of every n divisible by 199.
 A mismatch raises ``SelfCheckError``.
 
-Sweeps enumerate ring families deterministically and evaluate each ring
-shape once: the signature of each factor, in factor order, or the signature
+Sweeps enumerate ring families deterministically and key each ring by its
+shape: the signature of each factor, in factor order, or the signature
 alone if no selected check reads the factors.  The T5 hypotheses read only
 those per-factor signatures, so their applicability follows the shape.  A
-later ring reuses the graph-side checks of its shape's first ring if none
-failed or was skipped, since failures and skips name their ring.  The
-element-level checks, L4.gcd-adj and the 199 rebuild run on every ring, and
-the counts are aggregated in ring order; every failure keeps its witness.
+later ring reuses its shape's first report whole, or not at all: only when
+no selected check reads the ring's elements or gcd form, and none of the
+first ring's checks failed or was skipped, since failures and skips name
+their ring.  Any other sweep checks every ring on the full selection.  The
+199 rebuild runs on every ring, and the counts are aggregated in ring
+order; every failure keeps its witness.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ _CROSS_CHECKED: set[tuple[int, ...]] = set()  # signatures the engine has confir
 
 # Checks that read the ring's elements beyond its graph: not run in symbolic mode.
 _ELEMENT_CHECKS = frozenset(("T2.subring", "T2.embed", "T3.torsion-complete", "T3.torsion-diam"))
-# Checks a sweep runs on every ring; the others it evaluates once per ring shape.
+# Checks the ring shape does not decide: selecting one makes a sweep check every ring.
 _PER_RING_CHECKS = _ELEMENT_CHECKS | {"L4.gcd-adj"}
 
 
@@ -238,14 +240,20 @@ def _factor_signatures(factors) -> tuple[tuple[int, ...], ...]:
     return tuple(_signature((n,)) for n in factors)
 
 
+def _check_graph_cap(sig, graph_cap: int, noun: str) -> None:
+    """Raise the cap error if the signature's valuation graph, one vertex per
+    divisor d of n with 1 < d < n, has more vertices than the graph cap."""
+    count = math.prod(e + 1 for e in sig) - 2
+    if count > graph_cap:
+        raise CapExceededError(f"{count} {noun} above graph cap {graph_cap}")
+
+
 def _signature_invariants(sig, graph_cap: int, noun: str) -> InvariantReport:
     """The cached report of the signature's valuation graph, checked against the
     graph cap; a miss is built as the divisor graph of the first len(sig) primes
     raised to the exponents of sig."""
+    _check_graph_cap(sig, graph_cap, noun)
     report = _SIGNATURE_CACHE.get(sig)
-    count = math.prod(e + 1 for e in sig) - 2 if report is None else report.vertex_count
-    if count > graph_cap:
-        raise CapExceededError(f"{count} {noun} above graph cap {graph_cap}")
     if report is None:
         factorization = dict(zip(_first_primes(len(sig)), sig))
         report = _SIGNATURE_CACHE[sig] = invariants(build_ia_zn_symbolic(factorization, graph_cap))
@@ -526,11 +534,13 @@ def _check_torsion_diam(ctx: _RingContext):
 
 
 def _check_gcd_adj(ctx: _RingContext):
-    """For Z_n the brute-force graph equals the divisor/gcd form, label for label."""
+    """For Z_n the brute-force graph equals the divisor/gcd form, label for label.
+    Both caps are decided before either graph is built."""
     if len(ctx.factors) != 1:
         return _INAPPLICABLE
-    symbolic = build_ia_zn_symbolic(dict(factorize(ctx.factors[0])), ctx.caps.graph)
+    _check_graph_cap(ctx.signature, ctx.caps.graph, "divisor vertices")
     brute = ctx.ia
+    symbolic = build_ia_zn_symbolic(dict(factorize(ctx.factors[0])), ctx.caps.graph)
     if set(brute.labels) == set(symbolic.labels) and brute.edge_labels() == symbolic.edge_labels():
         return None
     return {
@@ -657,18 +667,12 @@ _PASSED = {cid: TheoremCheck(cid, applicable=True, passed=True) for cid in CHECK
 _NOT_APPLICABLE = {cid: TheoremCheck(cid, applicable=False, passed=None) for cid in CHECK_IDS}
 
 
-class _CheckIds(tuple):
-    """Check ids already resolved and validated, so passing them on costs no rescan."""
-
-
 def resolve_check_ids(checks) -> tuple[str, ...]:
-    if type(checks) is _CheckIds:
-        return checks
     if isinstance(checks, str):
         checks = (checks,)
     if checks is None or checks == ("all",) or checks == ["all"]:
-        return _CheckIds(CHECK_IDS)
-    ids = _CheckIds(checks)
+        return CHECK_IDS
+    ids = tuple(checks)
     if not ids:
         raise ValueError("no checks selected")
     for cid in ids:
@@ -874,29 +878,25 @@ def _sweep_entries(config: SweepConfig):
 
 
 class _ShapeSweep:
-    """Evaluates the rings of one sweep, each shape once (see the module notes).
+    """Evaluates the rings of one sweep, reusing shape reports (see the module notes).
     The memo lives as long as this object: one sweep, or one worker of its pool."""
 
     def __init__(self, config: SweepConfig):
         self.checks, self.caps = config.checks, config.caps
         self.symbolic = config.family == "zn-symbolic"
         self.check = partial(check_zn_symbolic if self.symbolic else check_ring, caps=config.caps)
-        self.per_ring = _CheckIds(cid for cid in config.checks if cid in _PER_RING_CHECKS)
-        self.memo: dict[object, list] = {}  # shape -> its checks, None where per ring
+        self.reuse = _PER_RING_CHECKS.isdisjoint(config.checks)
+        self.memo: dict[object, list] = {}  # shape -> a copy of its first report's checks
 
     def __call__(self, entry) -> RingReport:
         ring_id, item, shape = entry
-        template = self.memo.get(shape)
-        if template is None:
-            report = self.check(item, self.checks)
-            if not any(c.skipped or c.failed for c in report.checks if c.id not in self.per_ring):
-                self.memo[shape] = [None if c.id in self.per_ring else c for c in report.checks]
-        elif self.per_ring:
-            report = self.check(item, self.per_ring)
-            own = iter(report.checks)
-            report.checks = [next(own) if c is None else c for c in template]
+        checks = self.memo.get(shape)
+        if checks is not None:
+            report = RingReport(ring_id, list(checks))
         else:
-            report = RingReport(ring_id, list(template))
+            report = self.check(item, self.checks)
+            if self.reuse and not any(c.skipped or c.failed for c in report.checks):
+                self.memo[shape] = list(report.checks)
         if self.symbolic and item % 199 == 0:  # periodic cache validation: rebuild and compare
             with contextlib.suppress(CapExceededError):  # over the graph cap: nothing cached
                 fresh = invariants(build_ia_zn_symbolic(dict(factorize(item)), self.caps.graph))
@@ -918,7 +918,7 @@ def _run_in_worker(entry) -> RingReport:
 
 
 def sweep(config: SweepConfig, report_sink=None) -> SweepAggregate:
-    """Run the configured family, each shape once; aggregate per-check outcomes
+    """Run the configured family, reusing shape reports; aggregate per-check outcomes
     in ring order.  With jobs > 1 the reports stream back from a pool (imap)."""
     entries = _sweep_entries(config)
     start = time.perf_counter_ns()

@@ -319,6 +319,25 @@ def test_symbolic_gcd_adj_runs_below_cap_and_skips_above():
     assert check.skipped and "element cap" in check.reason
 
 
+def test_gcd_adj_decides_both_caps_before_building_a_graph(monkeypatch):
+    """Over the element cap no divisor graph of n is built; where both caps bind,
+    the graph cap's reason is reported in both modes."""
+    built = []
+    monkeypatch.setattr(theorems, "build_ia_zn_symbolic", lambda *args: built.append(args))
+    caps = Caps(element=50)
+    for n in range(51, 400):
+        check = by_id(check_zn_symbolic(n, ("L4.gcd-adj",), caps), "L4.gcd-adj")
+        assert check.skipped and check.reason == f"order {n} above element cap 50", n
+    assert built == []
+    caps = Caps(element=10, graph=2)
+    for report in (
+        check_zn_symbolic(720, ("L4.gcd-adj",), caps),
+        check_ring("Z720", ("L4.gcd-adj",), caps),
+    ):
+        assert by_id(report, "L4.gcd-adj").reason == "28 divisor vertices above graph cap 2"
+    assert built == []
+
+
 def test_symbolic_graph_cap_is_a_skip_cold_and_cached(monkeypatch):
     """720 = 2^4 3^2 5 has 28 divisor vertices.  Over the graph cap the check is
     skipped, whether the signature is cold or cached under the default cap."""
@@ -637,6 +656,23 @@ def test_shape_sweep_matches_per_ring_reference(cold_signatures, config):
     assert len({id(r.checks) for r in reports}) == len(reports)  # no shared check lists
 
 
+def test_shape_sweep_reuses_a_copy_of_the_first_report(cold_signatures):
+    """A reused shape report is a copy: a sink that clears each report's checks
+    changes no later report and not the aggregate."""
+    config = SHAPE_SWEEP_CASES[3]  # graph-only checks: later rings reuse their shape's report
+    streamed = []
+
+    def clearing_sink(report):
+        streamed.extend(_streamed([report]))
+        report.checks.clear()
+
+    aggregate = sweep(config, clearing_sink).to_json_dict()
+    aggregate["elapsed_ms"] = 0
+    cold_signatures._SIGNATURE_CACHE.clear()
+    cold_signatures._CROSS_CHECKED.clear()
+    assert (streamed, aggregate) == _reference_sweep(config)
+
+
 def test_theorem_checks_are_frozen():
     """A plain pass is one outcome shared by every report, so it must stay frozen."""
     check, again = (by_id(check_ring("Z12", ("T3.girth",)), "T3.girth") for _ in range(2))
@@ -714,7 +750,6 @@ def test_sweep_config_resolves_check_ids_once():
     assert SweepConfig(family="zn", max_n=10).checks == CHECK_IDS
     config = SweepConfig(family="zn", max_n=10, checks=["T3.girth"])
     assert config.checks == ("T3.girth",)
-    assert resolve_check_ids(config.checks) is config.checks  # passed on without a rescan
 
 
 def test_enumerate_product_specs_deterministic_order():
