@@ -31,7 +31,7 @@ from .graphs import (
     build_torsion,
     build_total,
     dot_rows,
-    graph_to_json_dict,
+    json_rows,
     zn_symbolic_from_n,
 )
 from .invariants import invariants, is_isomorphic
@@ -111,7 +111,8 @@ def _emit(chunks, out_path: str | None) -> None:
 
 
 def _json_chunks(payload) -> tuple[str, str]:
-    """JSON text and its newline as two chunks: a large text is not copied to append it."""
+    """The JSON text of a small payload (verify, sweep, invariants, iso) and its
+    newline as two chunks; graph JSON streams through graphs.json_rows."""
     return json.dumps(payload, indent=2), "\n"
 
 
@@ -129,7 +130,7 @@ def _cmd_build(args) -> int:
     if args.format == "dot":
         _emit(dot_rows(graph, DOT_NAMES.get(args.graph, "IA")), args.out)
     else:
-        _emit(_json_chunks(graph_to_json_dict(graph, ring_id, args.graph)), args.out)
+        _emit(json_rows(graph, ring_id, args.graph), args.out)
     return 0
 
 

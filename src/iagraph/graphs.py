@@ -18,6 +18,7 @@ product of k integral domains (every e_j = 1) by its support pattern 1 - v.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -288,7 +289,35 @@ def graph_to_dot(graph: Graph, name: str = "IA") -> str:
     return "".join(dot_rows(graph, name))
 
 
+def json_rows(graph: Graph, ring: str, graph_kind: str):
+    """The text of json.dumps(graph_to_json_dict(...), indent=2) plus a newline,
+    in rows as they are rendered: the header, the vertex objects, then one
+    chunk per row a of the upper triangle, holding each edge [a, b] with b > a,
+    ascending, and the closing brackets."""
+    yield (
+        f'{{\n  "ring": {json.dumps(ring)},\n'
+        f'  "graph_kind": {json.dumps(graph_kind)},\n  "vertices": '
+    )
+    if graph.vertex_count:
+        yield "[\n" + ",\n".join(
+            f'    {{\n      "label": {json.dumps(lab)},\n      "class_size": {size}\n    }}'
+            for lab, size in zip(graph.labels, graph.class_sizes)
+        ) + "\n  ],\n  \"edges\": "
+    else:
+        yield '[],\n  "edges": '
+    tails = [f"      {b}\n    ]" for b in range(graph.vertex_count)]
+    lead = "[\n"
+    for a, row in enumerate(graph.adj):
+        ends = (np.flatnonzero(row[a + 1 :]) + (a + 1)).tolist()
+        if ends:
+            head = f"    [\n      {a},\n"
+            yield lead + head + (",\n" + head).join(map(tails.__getitem__, ends))
+            lead = ",\n"
+    yield "[]\n}\n" if lead == "[\n" else "\n  ]\n}\n"
+
+
 def graph_to_json_dict(graph: Graph, ring: str, graph_kind: str) -> dict:
+    """The graph JSON payload; json_rows renders its text row by row."""
     return {
         "ring": ring,
         "graph_kind": graph_kind,

@@ -10,7 +10,12 @@ import pytest
 
 from iagraph import theorems
 from iagraph.cli import main
-from iagraph.graphs import build_ia_domain_product, build_ia_zn_symbolic, graph_to_dot
+from iagraph.graphs import (
+    build_ia_domain_product,
+    build_ia_zn_symbolic,
+    graph_to_dot,
+    graph_to_json_dict,
+)
 from iagraph.invariants import invariants
 from iagraph.theorems import (
     _SIGNATURE_CACHE,
@@ -107,6 +112,45 @@ def test_build_streams_dot_rows(tmp_path):
     assert code == 0
     assert peak < 8 * 2**20, peak
     assert target.read_text() == graph_to_dot(build_ia_domain_product(10))
+
+
+def test_build_streams_json_rows(tmp_path):
+    """The 16.7 MB of graph JSON of domain-product(10) are written as they are
+    rendered, never held whole, and equal the stdlib's indent=2 text."""
+    target = tmp_path / "dp10.json"
+    tracemalloc.start()
+    try:
+        code = main(
+            ["build", "--graph", "domain-product", "--k", "10", "--format", "json",
+             "--out", str(target)]
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20, peak
+    payload = graph_to_json_dict(build_ia_domain_product(10), "domain-product(10)", "domain-product")
+    assert target.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--graph", "domain-product", "--k", "13"],
+        ["--graph", "total", "--ring", "Z2xZ4096"],
+    ],
+    ids=["graph-cap", "element-cap"],
+)
+def test_build_json_cap_error_writes_nothing(tmp_path, capsys, argv):
+    """The graph is built before the first row, so a cap error leaves stdout
+    empty and creates no --out file."""
+    code, out, err = run_cli(capsys, "build", *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    target = tmp_path / "graph.json"
+    code, out, _ = run_cli(capsys, "build", *argv, "--format", "json", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert not target.exists()
 
 
 def test_build_determinism(capsys):

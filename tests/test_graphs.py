@@ -18,6 +18,7 @@ from iagraph.graphs import (
     compress_classes,
     graph_to_dot,
     graph_to_json_dict,
+    json_rows,
     zn_symbolic_from_n,
 )
 from iagraph.invariants import is_isomorphic
@@ -638,6 +639,36 @@ def test_json_output_golden():
         "edges": [[0, 2], [0, 3], [1, 3], [2, 3]],
     }
     json.dumps(payload)  # must be serializable as-is
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(build_ia(product_ring("Z2")), id="empty"),
+        pytest.param(build_ia(product_ring("Z4")), id="single-vertex"),
+        pytest.param(build_ia(product_ring("Z2xZ3")), id="edge-free"),
+        pytest.param(build_ia(product_ring("Z12")), id="ia-Z12"),
+        pytest.param(zn_symbolic_from_n(720), id="zn-symbolic-720"),
+        pytest.param(build_torsion(product_ring("Z2xZ12")), id="torsion-Z2xZ12"),
+        pytest.param(build_total(product_ring("Z2xZ8")), id="total-Z2xZ8"),
+        pytest.param(build_ia_domain_product(6), id="domain-product-6"),
+    ],
+)
+@pytest.mark.parametrize(
+    "ring", ["R", 'a"b\\c', "Z\u00e9\u2124"], ids=["plain", "escaped", "non-ascii"]
+)
+def test_json_rows_match_json_dumps(graph, ring):
+    """The rows join to the stdlib's indent=2 text, escapes and ensure_ascii included."""
+    text = "".join(json_rows(graph, ring, "kind"))
+    assert text == json.dumps(graph_to_json_dict(graph, ring, "kind"), indent=2) + "\n"
+
+
+def test_json_rows_cover_the_shapes():
+    """The graphs of test_json_rows_match_json_dumps have the shapes their ids name."""
+    assert build_ia(product_ring("Z2")).vertex_count == 0
+    assert build_ia(product_ring("Z4")).vertex_count == 1
+    edge_free = build_ia(product_ring("Z2xZ3"))
+    assert edge_free.vertex_count > 0 and edge_free.edge_count == 0
 
 
 def sorted_pair_dot(graph, name="IA"):
