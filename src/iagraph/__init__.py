@@ -36,12 +36,10 @@ from .rings import (
     RingSpecError,
     Subring,
     UnsupportedVariantError,
-    divisors,
     factorize,
     format_element,
     parse_ring_spec,
     product_ring,
-    radical,
 )
 from .theorems import (
     CHECK_IDS,
@@ -53,7 +51,6 @@ from .theorems import (
     TheoremCheck,
     check_ring,
     check_zn_symbolic,
-    embedding_check,
     enumerate_product_specs,
     sweep,
 )
@@ -87,8 +84,6 @@ __all__ = [
     "check_zn_symbolic",
     "compress_classes",
     "diameter",
-    "divisors",
-    "embedding_check",
     "enumerate_product_specs",
     "factorize",
     "format_element",
@@ -100,7 +95,6 @@ __all__ = [
     "is_isomorphic",
     "parse_ring_spec",
     "product_ring",
-    "radical",
     "sweep",
     "zn_symbolic_from_n",
 ]

@@ -188,7 +188,7 @@ def build_total(
     if len(verts) > vertex_cap:
         raise CapExceededError(f"{len(verts)} vertices above graph cap {vertex_cap}")
     adj = np.empty((len(verts), len(verts)), dtype=bool)
-    for start, block in ring.zero_divisor_sum_blocks(verts, verts):
+    for start, block in ring.zero_divisor_sum_blocks(verts):
         adj[start : start + len(block)] = block
     np.fill_diagonal(adj, False)
     return Graph([format_element(x) for x in verts], adj)

@@ -14,12 +14,12 @@ brute-force engine on ``FiniteRing``:
   for op(a_i, b_j) over pairs; ``_rows`` decodes codes back to elements.
   Codes ascend with elements().  A ring whose order passes the int64 range
   gets no codes: ``CapExceededError``, not a wrapped code;
-* zero-product rows for any list of elements, and the "x + y outside Z(R)"
-  scan, built in blocks of at most ``_BLOCK_PAIRS`` pairs, so memory stays
-  bounded and a scan stops at its first hit.  The full order x order
-  zero-product matrix is cached only where every row is needed, for the
-  default Z(R) mask and class codes; ``annihilator_set`` always computes
-  its element's own row;
+* zero-product rows for any list of elements, and the scan of x + y in
+  Z(R) over the pairs of one list, built in blocks of at most
+  ``_BLOCK_PAIRS`` pairs, so memory stays bounded and a scan stops at its
+  first hit.  The full order x order zero-product matrix is cached only
+  where every row is needed, for the default Z(R) mask and class codes;
+  ``annihilator_set`` always computes its element's own row;
 * generated subrings on sorted code arrays: the additive subgroup grows by
   the cosets of each generator's multiples, and products of the generators
   that grew it are the next generators, until none falls outside;
@@ -99,29 +99,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p**i for d in ds for i in range(e + 1)]
-    return sorted(ds)
-
-
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
-
-
-def big_omega(n: int) -> int:
-    """Number of prime factors of n counted with multiplicity."""
-    return sum(e for _, e in factorize(n))
 
 
 def shared_support(support: np.ndarray) -> np.ndarray:
@@ -163,7 +142,7 @@ class RingSpec:
         return "x".join(f"Z{n}" for n in self.factors)
 
 
-_TOKEN = re.compile(r"^Z(\d+)$")
+_TOKEN = re.compile(r"^Z(\d+)$", re.ASCII)
 
 
 def parse_ring_spec(text: str, max_order: int = DEFAULT_PARSE_ORDER_CAP) -> RingSpec:
@@ -239,10 +218,6 @@ class FiniteRing:
     def mul(self, x: Element, y: Element) -> Element:
         self._require(x, y)
         return tuple((a * b) % n for a, b, n in zip(x, y, self.spec.factors))
-
-    def neg(self, x: Element) -> Element:
-        self._require(x)
-        return tuple((-a) % n for a, n in zip(x, self.spec.factors))
 
     # --- annihilator data, by default from the zero-product matrix --------
     @cached_property
@@ -345,22 +320,12 @@ class FiniteRing:
         """Every zero-product row; only built where all of them are needed."""
         return self._zero_rows(self._matrix)
 
-    def zero_divisor_sum_blocks(self, xs, ys):
-        """Yield (start, block) with block[i, j] true iff xs[start + i] + ys[j] is in Z(R)."""
+    def zero_divisor_sum_blocks(self, xs):
+        """Yield (start, block) with block[i, j] true iff xs[start + i] + xs[j] is in Z(R)."""
         a = self._as_matrix(xs)
-        b = a if ys is xs else self._as_matrix(ys)
-        for rows in _blocks(len(a), len(b)):
-            sums = self._pair_codes(np.add, a[rows], b)
+        for rows in _blocks(len(a), len(a)):
+            sums = self._pair_codes(np.add, a[rows], a)
             yield rows.start, np.isin(sums, self._zero_divisor_codes)
-
-    def first_sum_outside_zero_divisors(self, xs, ys) -> tuple[Element, Element] | None:
-        """The first (xs[i], ys[j]) in row-major order with a sum outside Z(R), or None."""
-        for start, block in self.zero_divisor_sum_blocks(xs, ys):
-            outside = ~block
-            if outside.any():
-                i, j = divmod(int(outside.argmax()), outside.shape[1])
-                return xs[start + i], ys[j]
-        return None
 
     # --- shared derived operations ---------------------------------------
     @property
@@ -413,10 +378,12 @@ class FiniteRing:
         has x <= y: a hit (y, x) with x < y would come after the hit (x, y).
         """
         zs = self._zero_divisors(cap)
-        return self.first_sum_outside_zero_divisors(zs, zs)
-
-    def is_zero_divisors_ideal(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> bool:
-        return self.zero_divisor_ideal_witness(cap) is None
+        for start, block in self.zero_divisor_sum_blocks(zs):
+            outside = ~block
+            if outside.any():
+                i, j = divmod(int(outside.argmax()), len(zs))
+                return zs[start + i], zs[j]
+        return None
 
     @cached_property
     def _classes(self) -> list[tuple[object, list[Element]]]:
@@ -531,7 +498,6 @@ class ProductRing(FiniteRing):
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
-        self.mods = spec.factors
         self._element_cache: tuple[Element, ...] | None = None
 
     def __repr__(self) -> str:
@@ -545,10 +511,7 @@ class ProductRing(FiniteRing):
         return self
 
     def contains(self, x: Element) -> bool:
-        return len(x) == self.arity and all(0 <= a < n for a, n in zip(x, self.mods))
-
-    def reduce(self, x: tuple[int, ...]) -> Element:
-        return tuple(a % n for a, n in zip(x, self.mods))
+        return len(x) == self.arity and all(0 <= a < n for a, n in zip(x, self.spec.factors))
 
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
         if cap is not None and self.order > cap:
@@ -556,14 +519,14 @@ class ProductRing(FiniteRing):
                 f"{self.spec.ring_id()} has order {self.order}, above the cap {cap}"
             )
         if self._element_cache is None:
-            self._element_cache = tuple(cartesian(*[range(n) for n in self.mods]))
+            self._element_cache = tuple(cartesian(*[range(n) for n in self.spec.factors]))
         return self._element_cache
 
     # --- zero divisors and annihilators, closed forms ----------------------
     def is_zero_divisor(self, x: Element) -> bool:
         """gcd test per coordinate; gcd(n, 0) = n puts 0 in Z(R) as wanted."""
         self._require(x)
-        return any(math.gcd(a, n) != 1 for a, n in zip(x, self.mods))
+        return any(math.gcd(a, n) != 1 for a, n in zip(x, self.spec.factors))
 
     def annihilator_key(self, x: Element) -> AnnKey:
         """Per-coordinate principal generator of ann(x): g[i] = n_i // gcd(n_i, x_i)."""
@@ -576,20 +539,20 @@ class ProductRing(FiniteRing):
         """All elements of the ideal encoded by a key (coordinate multiples)."""
         if len(key) != self.arity:
             raise ValueError(f"key {key} has arity {len(key)}, ring expects {self.arity}")
-        size = math.prod(n // g for g, n in zip(key, self.mods))
+        size = math.prod(n // g for g, n in zip(key, self.spec.factors))
         if cap is not None and size > cap:
             raise CapExceededError(f"ideal of size {size} above the cap {cap}")
-        return set(cartesian(*[range(0, n, g) for g, n in zip(key, self.mods)]))
+        return set(cartesian(*[range(0, n, g) for g, n in zip(key, self.spec.factors)]))
 
     @cached_property
     def _key_matrix(self) -> np.ndarray:
         """annihilator_key of every element, one row each."""
-        mods = np.array(self.mods, dtype=np.int64)
+        mods = np.array(self.spec.factors, dtype=np.int64)
         return mods // np.gcd(self._matrix, mods)
 
     @cached_property
     def _zero_divisor_mask(self) -> np.ndarray:
-        return (self._key_matrix < np.array(self.mods, dtype=np.int64)).any(axis=1)
+        return (self._key_matrix < np.array(self.spec.factors, dtype=np.int64)).any(axis=1)
 
     @cached_property
     def _class_codes(self) -> np.ndarray:
@@ -597,7 +560,7 @@ class ProductRing(FiniteRing):
         return (self._key_matrix - 1) @ np.array(self._strides, dtype=np.int64)
 
     def ann_keys(self, xs) -> list[AnnKey]:
-        gcd, mods = math.gcd, self.mods
+        gcd, mods = math.gcd, self.spec.factors
         return [tuple(n // gcd(a, n) for a, n in zip(x, mods)) for x in xs]
 
     def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
@@ -609,16 +572,10 @@ class ProductRing(FiniteRing):
         keys = np.array(keys, dtype=np.int64).reshape(len(keys), self.arity)
         columns = [
             (n // keys[:, c]) % p == 0
-            for c, n in enumerate(self.mods)
+            for c, n in enumerate(self.spec.factors)
             for p, _ in factorize(n)
         ]
         return shared_support(np.stack(columns, axis=1))
-
-    def ann_intersection_nonzero(self, a: AnnKey, b: AnnKey) -> bool:
-        """ann(x) and ann(y) meet beyond 0 iff some gcd(n_i, x_i), gcd(n_i, y_i) share a prime."""
-        if len(a) != self.arity or len(b) != self.arity:
-            raise ValueError("key arity mismatch")
-        return bool(self.ann_meet_matrix([a, b])[0, 1])
 
 
 class Subring(FiniteRing):
@@ -637,7 +594,7 @@ class Subring(FiniteRing):
         self._element_cache = tuple(sorted(members))
         try:
             mat = parent._as_matrix(self._element_cache)
-            inside = bool(((mat >= 0) & (mat < np.array(parent.mods))).all())
+            inside = bool(((mat >= 0) & (mat < np.array(parent.spec.factors))).all())
         except (ValueError, OverflowError):  # mixed arities, or a coordinate past int64
             inside = False
         if inside:
@@ -646,7 +603,6 @@ class Subring(FiniteRing):
             for x in self._element_cache:
                 if not parent.contains(x):
                     raise ValueError(f"{x} is outside the parent ring")
-        self.has_one = parent.one in members
 
     def __repr__(self) -> str:
         return f"Subring({self.spec.ring_id()}, {len(self.members)} members)"

@@ -55,7 +55,14 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .graphs import DEFAULT_GRAPH_VERTEX_CAP, Graph, build_ia, build_ia_zn_symbolic, build_torsion
+from .graphs import (
+    DEFAULT_GRAPH_VERTEX_CAP,
+    Graph,
+    build_ia,
+    build_ia_zn_symbolic,
+    build_torsion,
+    zn_symbolic_from_n,
+)
 from .invariants import DEFAULT_ISO_VERTEX_CAP, InvariantReport, diameter, invariants, is_isomorphic
 from .rings import (
     DEFAULT_ELEMENT_CAP,
@@ -98,7 +105,7 @@ class Caps:
             if not part:
                 continue
             name, _, num = part.partition("=")
-            if name not in Caps.__dataclass_fields__ or not num.isdigit():
+            if name not in Caps.__dataclass_fields__ or not (num.isascii() and num.isdigit()):
                 raise ValueError(f"bad IAGRAPH_CAPS entry {part!r}")
             values[name] = int(num)
         return Caps(**values)
@@ -291,10 +298,6 @@ class _RingContext:
 
     # the other closed forms, in L = len(signature) local factors
     @property
-    def common_ann_nonzero(self) -> bool:
-        return self.z_ideal
-
-    @property
     def decomposes(self) -> bool:
         """R = ann(x) (+) ann(y) for some x, y."""
         return len(self.signature) >= 2
@@ -345,7 +348,7 @@ def _cross_check(ctx: _RingContext) -> None:
             "invariants": (ctx.ia_inv, invariants(ctx.ia)),
             "z_ideal": (ctx.z_ideal, ring.zero_divisor_ideal_witness(cap) is None),
             "common_ann_nonzero": (
-                ctx.common_ann_nonzero,
+                ctx.z_ideal,
                 len(ring.common_annihilator_of_zero_divisors(cap)) > 1,
             ),
             "decomposes": (ctx.decomposes, ring.has_ann_direct_sum_decomposition(cap)[0]),
@@ -375,8 +378,9 @@ def _check_ideal(ctx: _RingContext):
 
 
 def _check_thann(ctx: _RingContext):
-    """A common nonzero annihilator of Z(R) forces a complete graph."""
-    if not ctx.common_ann_nonzero:
+    """A common nonzero annihilator of Z(R), which exists iff Z(R) is an ideal,
+    forces a complete graph."""
+    if not ctx.z_ideal:
         return _INAPPLICABLE
     ok = ctx.ia_inv.complete
     return None if ok else {"vertices": ctx.ia_inv.vertex_count, "edges": ctx.ia_inv.edge_count}
@@ -445,7 +449,7 @@ def _check_embed(ctx: _RingContext):
     members = [x for _, xs in raw for x in xs]
     cls = np.repeat(np.arange(len(raw)), [len(xs) for _, xs in raw])
     firsts = []
-    for start, block in ctx.ring.zero_divisor_sum_blocks(members, members):
+    for start, block in ctx.ring.zero_divisor_sum_blocks(members):
         rows, cols = np.nonzero(~block & on_edge[np.ix_(cls[start : start + len(block)], cls)])
         hits = np.stack([cls[rows + start], cls[cols], rows + start, cols])
         firsts.append(hits[:, np.lexsort(hits[::-1])[:1]])
@@ -540,7 +544,7 @@ def _check_gcd_adj(ctx: _RingContext):
         return _INAPPLICABLE
     _check_graph_cap(ctx.signature, ctx.caps.graph, "divisor vertices")
     brute = ctx.ia
-    symbolic = build_ia_zn_symbolic(dict(factorize(ctx.factors[0])), ctx.caps.graph)
+    symbolic = zn_symbolic_from_n(ctx.factors[0], ctx.caps.graph)
     if set(brute.labels) == set(symbolic.labels) and brute.edge_labels() == symbolic.edge_labels():
         return None
     return {
@@ -726,11 +730,6 @@ def check_ring(ring, checks="all", caps: Caps | None = None) -> RingReport:
     return _run_checks(ctx, ids)
 
 
-def embedding_check(ring, caps: Caps | None = None) -> TheoremCheck:
-    """Standalone entry for the total-graph embedding law."""
-    return check_ring(ring, ("T2.embed",), caps).checks[0]
-
-
 def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None) -> RingReport:
     """Run the selected checks on Z_n in symbolic mode: the element-level checks
     are not available, and no ring is cross-checked."""
@@ -899,7 +898,7 @@ class _ShapeSweep:
                 self.memo[shape] = list(report.checks)
         if self.symbolic and item % 199 == 0:  # periodic cache validation: rebuild and compare
             with contextlib.suppress(CapExceededError):  # over the graph cap: nothing cached
-                fresh = invariants(build_ia_zn_symbolic(dict(factorize(item)), self.caps.graph))
+                fresh = invariants(zn_symbolic_from_n(item, self.caps.graph))
                 if fresh != symbolic_invariants(item, self.caps):
                     raise SelfCheckError(f"symbolic cache mismatch at n={item}")
         return report

@@ -472,6 +472,22 @@ def test_caps_env_var(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "ring, caps, message",
+    [
+        ("Z\u0661\u0662", "", "malformed ring token 'Z\u0661\u0662' in 'Z\u0661\u0662'"),
+        ("Z\uff11\uff12", "", "malformed ring token 'Z\uff11\uff12' in 'Z\uff11\uff12'"),
+        ("Z12", "element=\u0663", "bad IAGRAPH_CAPS entry 'element=\u0663'"),
+        ("Z12", "element=\u00b2", "bad IAGRAPH_CAPS entry 'element=\u00b2'"),
+    ],
+    ids=["arabic-indic-spec", "fullwidth-spec", "arabic-indic-cap", "superscript-cap"],
+)
+def test_non_ascii_digits_rejected(capsys, monkeypatch, ring, caps, message):
+    monkeypatch.setenv("IAGRAPH_CAPS", caps)
+    code, out, err = run_cli(capsys, "verify", "--ring", ring)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_nonpositive_cap_rejected(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ring", "Z12", "--element-cap", "0")
     assert code == 2

@@ -544,13 +544,22 @@ def test_total_matches_pair_loop(small_ring_ids, generated_subrings):
         assert g.edges() == loop_total_edges(ring), ring
 
 
-def test_sum_scan_matches_loops(small_ring_ids, generated_subrings):
-    """Every ordered pair of classes, edges or not, so that witnesses occur."""
+def test_sum_scan_matches_loops(small_ring_ids, generated_subrings, monkeypatch):
+    """The sum scan over the members of every pair of classes, edges or not, in
+    blocks of at most 7 pairs, against the pair loop; and the ideal witness, the
+    scan's first hit over Z(R), against the loop's first pair."""
+    monkeypatch.setattr("iagraph.rings._BLOCK_PAIRS", 7)
     for ring in [product_ring(rid) for rid in small_ring_ids] + generated_subrings:
+        mods, zset = ring.spec.factors, ring.zero_divisor_set()
         raw = ring.annihilator_classes()
-        for (_, xs), (_, ys) in itertools.permutations(raw, 2):
-            got = ring.first_sum_outside_zero_divisors(xs, ys)
-            assert got == loop_first_sum_outside(ring, xs, ys), (ring, xs, ys)
+        for (_, xs), (_, ys) in itertools.combinations(raw, 2):
+            members = xs + ys
+            starts, blocks = zip(*ring.zero_divisor_sum_blocks(members))
+            assert list(starts) == np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+            expected = [[oracle_add(mods, x, y) in zset for y in members] for x in members]
+            assert np.concatenate(blocks).tolist() == expected, (ring, xs, ys)
+        zs = sorted(zset)
+        assert ring.zero_divisor_ideal_witness() == loop_first_sum_outside(ring, zs, zs), ring
 
 
 def test_embed_check_matches_triple_loop(small_ring_ids, generated_subrings):

@@ -1,7 +1,9 @@
 """Ring core: parsing, arithmetic, zero divisors, annihilators, subrings."""
 
+import importlib.util
 import math
 import operator
+import pathlib
 import random
 import tracemalloc
 from itertools import product as cartesian
@@ -9,6 +11,7 @@ from itertools import product as cartesian
 import numpy as np
 import pytest
 
+import iagraph
 from iagraph.graphs import build_torsion, build_total
 from iagraph.rings import (
     DEFAULT_ELEMENT_CAP,
@@ -18,13 +21,11 @@ from iagraph.rings import (
     RingSpecError,
     Subring,
     UnsupportedVariantError,
-    big_omega,
-    divisors,
     factorize,
     format_element,
+    is_prime,
     parse_ring_spec,
     product_ring,
-    radical,
 )
 from iagraph.theorems import Caps, _RingContext, enumerate_product_specs
 
@@ -63,7 +64,9 @@ def test_parse_rejects_modulus_below_two():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "Q5", "Z", "Z12x", "xZ12", "Z-3", "Z4 x Z4x"):
+    # Arabic-Indic, fullwidth and superscript digits
+    non_ascii = ("Z\u0661\u0662", "Z\uff11\uff12", "Z4xZ\u00b2")
+    for bad in ("", "Q5", "Z", "Z12x", "xZ12", "Z-3", "Z4 x Z4x") + non_ascii:
         with pytest.raises(RingSpecError):
             parse_ring_spec(bad)
 
@@ -83,11 +86,8 @@ def test_ring_id_round_trip():
 def test_factorize_and_friends():
     assert factorize(12) == ((2, 2), (3, 1))
     assert factorize(97) == ((97, 1),)
-    assert radical(12) == 6
-    assert radical(30) == 30
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert big_omega(12) == 3
-    assert big_omega(8) == 3
+    assert factorize(2**12 * 5**12) == ((2, 12), (5, 12))
+    assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_factorization_remultiplies():
@@ -125,12 +125,6 @@ def test_add_z6():
     assert ring.add((4,), (5,)) == (3,)
 
 
-def test_neg():
-    ring = product_ring("Z12")
-    assert ring.neg((5,)) == (7,)
-    assert ring.neg((0,)) == (0,)
-
-
 def test_arity_mismatch_rejected():
     ring = product_ring("Z4xZ4")
     with pytest.raises(ValueError, match="is not a member of"):
@@ -143,11 +137,6 @@ def test_out_of_range_rejected():
     ring = product_ring("Z4xZ4")
     with pytest.raises(ValueError, match="is not a member of"):
         ring.add((4, 0), (0, 0))
-
-
-def test_reduce_normalizes_coordinates():
-    ring = product_ring("Z4xZ4")
-    assert ring.reduce((13, -7)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +257,12 @@ def test_same_gcd_same_annihilator_sweep():
 
 def test_ann_intersection_nonzero():
     ring = product_ring("Z12")
-    k2 = ring.annihilator_key((2,))
-    k3 = ring.annihilator_key((3,))
-    k4 = ring.annihilator_key((4,))
-    k0 = ring.annihilator_key((0,))
-    assert ring.ann_intersection_nonzero(k2, k4)
-    assert not ring.ann_intersection_nonzero(k2, k3)
-    assert ring.ann_intersection_nonzero(k2, k0)
+    meet = ring.ann_meet_matrix([ring.annihilator_key((x,)) for x in (2, 3, 4, 0)])
+    assert meet[0, 2] and meet[2, 0]  # ann(2) meets ann(4)
+    assert not meet[0, 1]  # but not ann(3)
+    assert meet[0, 3]  # ann(0) = R
     with pytest.raises(ValueError):
-        ring.ann_intersection_nonzero((6,), (6, 6))
+        ring.ann_meet_matrix([(6,), (6, 6)])
 
 
 def test_ann_intersection_matches_set_intersection(small_ring_ids):
@@ -284,9 +270,10 @@ def test_ann_intersection_matches_set_intersection(small_ring_ids):
         ring = product_ring(rid)
         zero = ring.zero
         classes = ring.annihilator_classes()
+        meet = ring.ann_meet_matrix([key for key, _ in classes])
         for i in range(len(classes)):
             for j in range(i + 1, len(classes)):
-                fast = ring.ann_intersection_nonzero(classes[i][0], classes[j][0])
+                fast = meet[i, j]
                 a = oracle_annihilator(ring.spec.factors, classes[i][1][0])
                 b = oracle_annihilator(ring.spec.factors, classes[j][1][0])
                 assert fast == (a & b != {zero}), (rid, i, j)
@@ -316,13 +303,13 @@ def test_support_meet_rule_matches_lcm_rule():
 def test_support_meet_rule_matches_lcm_rule_past_int32():
     ring = product_ring("Z1000000000000")
     n = ring.spec.factors[0]
-    xs = [(d % n,) for d in divisors(n)] + [(x,) for x in (3, 7, 123456789, n - 1, n - 2)]
+    divisors = [2**i * 5**j for i in range(13) for j in range(13)]
+    xs = [(d % n,) for d in divisors] + [(x,) for x in (3, 7, 123456789, n - 1, n - 2)]
     keys = ring.ann_keys(xs)
     assert np.array_equal(ring.ann_meet_matrix(keys), _lcm_meet(ring, keys))
-    assert ring.ann_intersection_nonzero(ring.annihilator_key((2,)), ring.annihilator_key((n - 2,)))
-    assert not ring.ann_intersection_nonzero(
-        ring.annihilator_key((2**12,)), ring.annihilator_key((5**12,))
-    )
+    meet = ring.ann_meet_matrix([ring.annihilator_key((x,)) for x in (2, n - 2, 2**12, 5**12)])
+    assert meet[0, 1]
+    assert not meet[2, 3]
 
 
 def test_intersection_contained_in_sum_annihilator(small_ring_ids):
@@ -378,7 +365,7 @@ def test_annihilator_classes_match_oracle(small_ring_ids):
 
 
 def test_zero_divisors_ideal_z8():
-    assert product_ring("Z8").is_zero_divisors_ideal()
+    assert product_ring("Z8").zero_divisor_ideal_witness() is None
 
 
 def test_zero_divisors_not_ideal_z12():
@@ -391,7 +378,7 @@ def test_zero_divisors_not_ideal_z12():
 
 
 def test_zero_divisors_not_ideal_product():
-    assert not product_ring("Z3xZ3").is_zero_divisors_ideal()
+    assert product_ring("Z3xZ3").zero_divisor_ideal_witness() is not None
 
 
 def test_zero_divisors_absorb_multiplication(small_ring_ids):
@@ -453,14 +440,14 @@ def test_subring_generated_by_one_is_whole_ring():
     ring = product_ring("Z12")
     sub = ring.subring_generated([(1,)])
     assert sub.order == 12
-    assert sub.has_one
+    assert sub.contains(ring.one)
 
 
 def test_subring_diagonal():
     ring = product_ring("Z2xZ2")
     sub = ring.subring_generated([(1, 1)])
     assert sub.members == frozenset({(0, 0), (1, 1)})
-    assert sub.has_one
+    assert sub.contains(ring.one)
 
 
 def test_subring_mixed_generators():
@@ -482,7 +469,7 @@ def test_subring_closure_validation_catches_bad_sets():
     parents = [product_ring("Z2xZ2500"), product_ring("Z2xZ2504")]
     assert [p.order for p in parents] == [DEFAULT_ELEMENT_CAP, DEFAULT_ELEMENT_CAP + 8]
     for parent in parents:
-        m = parent.mods[1] // 2
+        m = parent.spec.factors[1] // 2
         Subring(parent, frozenset({(0, 0), (1, 0), (0, m), (1, m)})).validate_closure()
         for members, name in (
             ({(0, 0), (0, 1)}, r"\+"),  # (0,1) + (0,1) = (0,2)
@@ -850,3 +837,25 @@ def test_cap_override():
     ring = product_ring("Z12")
     with pytest.raises(CapExceededError):
         ring.elements(cap=10)
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark tracer and the package namespace look up
+
+
+def test_traced_ring_methods_and_exports_exist():
+    """perfbench/spans.py wraps each ring method it names wherever a ring class
+    defines it and skips the rest silently, so a pruned method would read 0.
+    ann_sets_intersect is the one name no class defines."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    classes = [getattr(iagraph.rings, name) for name in spans.RING_CLASSES]
+    assert classes == [iagraph.rings.FiniteRing, ProductRing, Subring]
+    undefined = [
+        name for name in spans.LAYERS["rings"] if not any(name in vars(cls) for cls in classes)
+    ]
+    assert undefined == ["ann_sets_intersect"]
+    for name in iagraph.__all__:
+        assert hasattr(iagraph, name), name

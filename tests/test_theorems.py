@@ -25,7 +25,6 @@ from iagraph.theorems import (
     SweepConfig,
     check_ring,
     check_zn_symbolic,
-    embedding_check,
     enumerate_product_specs,
     report_csv_rows,
     resolve_check_ids,
@@ -135,13 +134,13 @@ def test_embed_vacuous_note():
 
 
 def test_embedding_check_entry_point():
-    check = embedding_check("Z4xZ4")
+    check = check_ring("Z4xZ4", ("T2.embed",)).checks[0]
     assert check.id == "T2.embed"
     assert check.passed
 
 
 def test_embedding_check_skip_reason():
-    check = embedding_check("Z256")
+    check = check_ring("Z256", ("T2.embed",)).checks[0]
     assert check.skipped and not check.applicable
     assert check.reason == "order 256 above total cap 200"
 
@@ -239,8 +238,9 @@ def test_torsion_cap_skip_reason():
 def test_caps_from_env():
     caps = Caps.from_env({"IAGRAPH_CAPS": "element=777, torsion=42"})
     assert caps.element == 777 and caps.torsion == 42 and caps.total == 200
-    with pytest.raises(ValueError):
-        Caps.from_env({"IAGRAPH_CAPS": "bogus=1"})
+    for bad in ("bogus=1", "element=\u0663", "element=\u00b2"):
+        with pytest.raises(ValueError, match="bad IAGRAPH_CAPS entry"):
+            Caps.from_env({"IAGRAPH_CAPS": bad})
     assert Caps.from_env({}) == Caps()
 
 
@@ -394,7 +394,7 @@ def test_signature_cache_and_closed_forms_equal_the_engine(cold_signatures):
         assert ctx.ia_inv == invariants(build_ia(ring)), factors
         assert ctx.z_ideal == (ring.zero_divisor_ideal_witness() is None), factors
         common = ring.common_annihilator_of_zero_divisors()
-        assert ctx.common_ann_nonzero == (len(common) > 1), factors
+        assert ctx.z_ideal == (len(common) > 1), factors
         assert ctx.decomposes == ring.has_ann_direct_sum_decomposition()[0], factors
         assert ctx.reduced == (not has_nonzero_nilpotent(ring)), factors
     assert len(cold_signatures._SIGNATURE_CACHE) == len({_RingContext(f, Caps()).signature for f in specs})
