@@ -5,24 +5,28 @@ invariants), verify (run checks on one ring), sweep (run checks over a ring
 family), iso (compare two graphs).
 
 Exit status: 0 on success, 1 when a requested verification fails (a failed
-check, or a non-isomorphic pair under --expect iso), 2 on usage errors,
-malformed ring specs, an empty check selection, caps that are not positive,
---jobs outside 1..the CPU count, an unwritable --out path, a zn or
-zn-symbolic sweep bound above 2**31 - 1 (the sieve's int32 range), cap
-violations, or running out of memory ("error: out of memory: ..."), and 3
-when a self-check finds the signature cache or a closed form disagreeing
-with a recomputation.  Nothing is written to stdout on exit 2 or 3.  A
-sweep that visited no rings, or skipped every check on every ring, prints a
-one-line warning on stderr; its exit status stays.
+check, or a non-isomorphic pair under --expect iso), 2 on usage errors (an
+integer flag takes ASCII digits only), malformed ring specs, an empty check
+selection, caps that are not positive, --jobs outside 1..the CPU count, an
+unwritable --out path or a stdout pipe its reader closed ("error: cannot
+write output: ..."), a zn or zn-symbolic sweep bound above 2**31 - 1 (the
+sieve's int32 range), cap violations, or running out of memory, and 3 when
+a self-check finds the signature cache or a closed form disagreeing with a
+recomputation.  Nothing is written to stdout on exit 2 or 3 but what a
+closed pipe's reader took.  A sweep that visited no rings, or skipped every
+check on every ring, prints a one-line warning on stderr; its exit status
+stays.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import os
 import sys
 
 from .graphs import (
@@ -57,13 +61,21 @@ GRAPH_KINDS = ("ia", "torsion", "total", "zn-symbolic", "domain-product")
 DOT_NAMES = {"ia": "IA", "torsion": "torsion", "total": "total"}
 
 
+def _int_arg(text: str) -> int:
+    """int(text) for ASCII text only: int() also reads other Unicode decimal digits."""
+    if text.isascii():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_caps_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--element-cap", type=int, help="brute-force element cap")
-    parser.add_argument("--torsion-cap", type=int, help="torsion-graph order cap")
-    parser.add_argument("--total-cap", type=int, help="total-graph order cap")
-    parser.add_argument("--subring-cap", type=int, help="generated-subring order cap")
-    parser.add_argument("--iso-cap", type=int, help="isomorphism vertex cap")
-    parser.add_argument("--graph-cap", type=int, help="graph construction vertex cap")
+    parser.add_argument("--element-cap", type=_int_arg, help="brute-force element cap")
+    parser.add_argument("--torsion-cap", type=_int_arg, help="torsion-graph order cap")
+    parser.add_argument("--total-cap", type=_int_arg, help="total-graph order cap")
+    parser.add_argument("--subring-cap", type=_int_arg, help="generated-subring order cap")
+    parser.add_argument("--iso-cap", type=_int_arg, help="isomorphism vertex cap")
+    parser.add_argument("--graph-cap", type=_int_arg, help="graph construction vertex cap")
 
 
 def _caps_from_args(args) -> Caps:
@@ -222,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="emit a graph")
     p_build.add_argument("--ring", help="ring spec, e.g. Z12 or Z4xZ4")
     p_build.add_argument("--graph", choices=GRAPH_KINDS, default="ia")
-    p_build.add_argument("--k", type=int, help="factor count for domain-product")
+    p_build.add_argument("--k", type=_int_arg, help="factor count for domain-product")
     p_build.add_argument("--format", choices=("dot", "json"), default="dot")
     p_build.add_argument("--out", help="output path (default stdout)")
     _add_caps_flags(p_build)
@@ -231,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="graph invariants report")
     p_inv.add_argument("--ring")
     p_inv.add_argument("--graph", choices=GRAPH_KINDS, default="ia")
-    p_inv.add_argument("--k", type=int)
+    p_inv.add_argument("--k", type=_int_arg)
     p_inv.add_argument("--format", choices=("json", "csv"), default="json")
     p_inv.add_argument("--out")
     _add_caps_flags(p_inv)
@@ -251,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("zn", "zn-symbolic", "products", "domain-products"),
         required=True,
     )
-    p_sweep.add_argument("--max", type=int, required=True, help="max modulus/order/k")
-    p_sweep.add_argument("--max-factors", type=int, default=3)
+    p_sweep.add_argument("--max", type=_int_arg, required=True, help="max modulus/order/k")
+    p_sweep.add_argument("--max-factors", type=_int_arg, default=3)
     p_sweep.add_argument("--checks", default="all")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="json")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_int_arg, default=1)
     p_sweep.add_argument("--out")
     _add_caps_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -284,6 +296,10 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:  # fd 1 to devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except SelfCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

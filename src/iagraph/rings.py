@@ -22,11 +22,11 @@ brute-force engine on ``FiniteRing``:
   ``annihilator_set`` always computes its element's own row;
 * generated subrings on sorted code arrays: the additive subgroup grows by
   the cosets of each generator's multiples, and products of the generators
-  that grew it are the next generators, until none falls outside;
+  that grew it are the next generators, until none falls outside; one that
+  fills the ring is the ring object itself;
 * ``Subring.validate_closure``, one blocked ``np.isin`` scan of the + and *
   codes against the member codes, for direct callers and for a proper
-  generated subring in T2.subring (a generated subring of the ring's own
-  order is the ring, closed by construction);
+  generated subring in T2.subring;
 * the annihilator classes of Z*(R), grouped once by a 1-D class code and
   cached on the ring.
 
@@ -420,13 +420,9 @@ class FiniteRing:
         _, rows = self._representative_rows(cap)
         return {elems[j] for j in np.flatnonzero(rows.all(axis=0))}
 
-    def subring_generated(
-        self,
-        gens,
-        include_one: bool = False,
-        cap: int | None = DEFAULT_ELEMENT_CAP,
-    ) -> "Subring":
-        """Least subset containing gens (and 1 if asked) closed under +, *, -.
+    def subring_generated(self, gens, cap: int | None = DEFAULT_ELEMENT_CAP) -> "FiniteRing":
+        """Least subset containing gens closed under +, *, -: this ring itself
+        when that is every element, a ``Subring`` otherwise.
 
         The members are the additive subgroup the generators span, grown on
         sorted codes: a generator outside it adds its multiples k.g up to the
@@ -434,17 +430,15 @@ class FiniteRing:
         distribute over sums, so the subgroup is closed under * once the
         products of the generators that grew it lie inside; those outside
         are the next round's generators.  Growth stops once the subgroup is
-        the whole ring.
+        the whole ring, which is then returned as it is.
         """
         self.elements(cap)  # enforce the cap before any closure work
         gens = list(gens)
-        for g in gens:
-            if not self.contains(g):
-                raise ValueError(f"generator {g} is not a ring member")
+        self._require(*gens)
         mods, strides = np.array(self.spec.factors), np.array(self._strides)
         group = np.zeros(1, dtype=np.int64)  # sorted codes of the subgroup so far
         basis = []  # the generators that grew it
-        todo = self._as_matrix([self.one] * include_one + gens)  # 1 spans Z_n at once
+        todo = self._as_matrix(gens)
         while len(todo) and len(group) < self.order:
             for g in todo:
                 code = g @ strides
@@ -468,10 +462,8 @@ class FiniteRing:
                 products = self._pair_codes(np.multiply, basis_rows, basis_rows)
                 todo = self._rows(products[~np.isin(products, group)])
         if len(group) == self.order:
-            members = frozenset(self.elements(cap))
-        else:
-            members = frozenset(map(tuple, self._rows(group).tolist()))
-        return Subring(self.parent_product(), members)
+            return self
+        return Subring(self.parent_product(), frozenset(map(tuple, self._rows(group).tolist())))
 
     def has_ann_direct_sum_decomposition(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
@@ -592,17 +584,9 @@ class Subring(FiniteRing):
         if parent.zero not in members:
             raise ValueError("subring must contain 0")
         self._element_cache = tuple(sorted(members))
-        try:
-            mat = parent._as_matrix(self._element_cache)
-            inside = bool(((mat >= 0) & (mat < np.array(parent.spec.factors))).all())
-        except (ValueError, OverflowError):  # mixed arities, or a coordinate past int64
-            inside = False
-        if inside:
-            self._matrix = mat
-        else:
-            for x in self._element_cache:
-                if not parent.contains(x):
-                    raise ValueError(f"{x} is outside the parent ring")
+        for x in self._element_cache:
+            if not parent.contains(x):
+                raise ValueError(f"{x} is outside the parent ring")
 
     def __repr__(self) -> str:
         return f"Subring({self.spec.ring_id()}, {len(self.members)} members)"

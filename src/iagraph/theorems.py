@@ -401,20 +401,19 @@ def _check_goldie(ctx: _RingContext):
 def _check_subring(ctx: _RingContext):
     """The subring S generated by class representatives and 1 has the same graph.
 
-    S contains 1.  When S has R's order it is R itself: its members are R's
-    elements, so it is closed and its graph is R's, and neither the closure
-    scan nor a second graph build can tell anything.  A proper S gets both.
-    The isomorphism test runs either way, so the iso cap skips alike.
+    S contains 1.  A generated S that fills R is R itself, the ring object, so
+    it is closed and its graph is ctx.ia, and neither the closure scan nor a
+    second graph build can tell anything.  A proper S gets both.  The
+    isomorphism test runs either way, so the iso cap skips alike.
     """
     if ctx.ring.order > ctx.caps.subring:
         raise CapExceededError(
             f"order {ctx.ring.order} above subring cap {ctx.caps.subring}"
         )
     reps = [members[0] for _, members in ctx.ring.annihilator_classes(ctx.caps.element)]
-    sub = ctx.ring.subring_generated(reps, include_one=True, cap=ctx.caps.element)
-    if sub.order == ctx.ring.order:
-        ia_sub = ctx.ia
-    else:
+    sub = ctx.ring.subring_generated([ctx.ring.one, *reps], cap=ctx.caps.element)
+    ia_sub = ctx.ia
+    if sub is not ctx.ring:
         sub.validate_closure()
         ia_sub = build_ia(sub, ctx.caps.element, ctx.caps.graph)
     ok, _ = is_isomorphic(ia_sub, ctx.ia, ctx.caps.iso)
@@ -436,28 +435,27 @@ def _check_no_kmn(ctx: _RingContext):
 
 
 def _check_embed(ctx: _RingContext):
-    """Every compressed edge lifts to total-graph adjacency for all member pairs."""
+    """Every compressed edge lifts to total-graph adjacency for all member pairs.
+
+    One sum scan of Z*(R) x Z*(R) in class order, 40 KB at the default total
+    cap.  A hit is a sum outside Z(R) on an edge (i, j), i < j; one sort finds
+    the least (i, j, position of x, position of y), the first hit of the loop
+    over edges() and the members of each class."""
     if ctx.ring.order > ctx.caps.total:
         raise CapExceededError(f"order {ctx.ring.order} above total cap {ctx.caps.total}")
     raw = ctx.ring.annihilator_classes(ctx.caps.element)
     if not ctx.ia.edge_count:
         return "no edges (vacuous)"
-    # One scan of Z*(R) x Z*(R) in class order.  A hit is a sum outside Z(R) on an
-    # edge (i, j), i < j; the least (i, j, position of x, position of y) is the
-    # first hit of the loop over edges() and the members of each class.
     on_edge = np.triu(ctx.ia.adj, 1)
     members = [x for _, xs in raw for x in xs]
     cls = np.repeat(np.arange(len(raw)), [len(xs) for _, xs in raw])
-    firsts = []
-    for start, block in ctx.ring.zero_divisor_sum_blocks(members):
-        rows, cols = np.nonzero(~block & on_edge[np.ix_(cls[start : start + len(block)], cls)])
-        hits = np.stack([cls[rows + start], cls[cols], rows + start, cols])
-        firsts.append(hits[:, np.lexsort(hits[::-1])[:1]])
-    firsts = np.concatenate(firsts, axis=1)
-    if not firsts.shape[1]:
+    sums = np.concatenate([block for _, block in ctx.ring.zero_divisor_sum_blocks(members)])
+    p, q = np.nonzero(on_edge[np.ix_(cls, cls)] & ~sums)
+    if not len(p):
         return None
-    i, j, p, q = firsts[:, np.lexsort(firsts[::-1])[0]].tolist()
-    x, y = members[p], members[q]
+    first = np.lexsort((q, p, cls[q], cls[p]))[0]
+    i, j = int(cls[p[first]]), int(cls[q[first]])
+    x, y = members[p[first]], members[q[first]]
     return {
         "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
         "members": [format_element(x), format_element(y)],

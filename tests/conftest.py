@@ -124,16 +124,20 @@ def small_ring_ids():
 
 @pytest.fixture(scope="session")
 def generated_subrings():
-    """Subrings of Z4xZ4, Z2xZ3xZ5 and Z8xZ2: the one T2.subring builds from the
-    class representatives and 1, and those generated by single elements."""
-    from iagraph.rings import product_ring
+    """Subrings of Z4xZ4, Z2xZ3xZ5 and Z8xZ2: each ring as a whole-ring Subring,
+    whose zero-product answers the tests hold against the product ring's closed
+    forms, and the subrings generated by single elements with and without 1.
+    subring_generated returns the ring itself when the result fills it; the
+    fixture keeps the whole-ring Subring in its place."""
+    from iagraph.rings import Subring, product_ring
 
     out = []
     for rid in ("Z4xZ4", "Z2xZ3xZ5", "Z8xZ2"):
         ring = product_ring(rid)
-        reps = [members[0] for _, members in ring.annihilator_classes()]
-        out.append(ring.subring_generated(reps, include_one=True))
+        whole = Subring(ring, frozenset(ring.elements()))
+        out.append(whole)
         for x in ring.elements()[1::3]:
-            out.append(ring.subring_generated([x]))
-            out.append(ring.subring_generated([x], include_one=True))
+            for gens in ([x], [ring.one, x]):
+                sub = ring.subring_generated(gens)
+                out.append(whole if sub is ring else sub)
     return out

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import iagraph
 from iagraph import theorems
 from iagraph.cli import main
 from iagraph.graphs import (
@@ -486,6 +490,46 @@ def test_non_ascii_digits_rejected(capsys, monkeypatch, ring, caps, message):
     monkeypatch.setenv("IAGRAPH_CAPS", caps)
     code, out, err = run_cli(capsys, "verify", "--ring", ring)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ("verify", "--ring", "Z12", f"--{name}-cap")
+            for name in ("element", "torsion", "total", "subring", "iso", "graph")
+        ),
+        ("build", "--graph", "domain-product", "--k"),
+        ("invariants", "--graph", "domain-product", "--k"),
+        ("sweep", "--family", "zn", "--max"),
+        ("sweep", "--family", "products", "--max", "20", "--max-factors"),
+        ("sweep", "--family", "zn", "--max", "20", "--jobs"),
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+def test_non_ascii_digits_in_integer_flags_rejected(capsys, argv):
+    """int() reads "\u0663" as 3; the flags take ASCII digits only."""
+    code, out, err = run_cli(capsys, *argv, "\u0663")
+    assert (code, out) == (2, "")
+    assert f"argument {argv[-1]}: invalid int value: '\u0663'" in err
+
+
+def test_closed_stdout_pipe_exits_two_without_traceback():
+    """A reader that takes one line and closes the pipe ends the command with
+    exit 2 and one error line, as an unwritable --out path does."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(iagraph.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "iagraph", "build", "--graph", "domain-product", "--k", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"graph IA {\n"  # about 800 KB follow: more than a pipe holds
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_nonpositive_cap_rejected(capsys):

@@ -22,7 +22,7 @@ from iagraph.graphs import (
     zn_symbolic_from_n,
 )
 from iagraph.invariants import is_isomorphic
-from iagraph.rings import CapExceededError, factorize, format_element, product_ring
+from iagraph.rings import CapExceededError, Subring, factorize, format_element, product_ring
 from iagraph.theorems import Caps, _RingContext, _run_checks, enumerate_product_specs
 
 from conftest import oracle_add, oracle_annihilator, oracle_zero_divisors, ring_elements
@@ -200,18 +200,18 @@ def test_torsion_on_subrings_matches_annihilator_sets(generated_subrings):
 
 
 def test_whole_ring_subring_graph_matches_ring_graph():
-    """T2.subring accepts a generated subring of the ring's own order without
-    building its graph.  That S really is the ring, and its zero-product graph
-    is the closed-form graph label for label, on every zn and products ring of
-    order at most 120.  So are its Z(R) and its torsion graph: the inherited
-    zero-product mask and positional keys against ProductRing's key forms."""
+    """T2.subring reads R's own graph when the S it generates is the ring
+    itself.  On every zn and products ring of order at most 120 it is, and R as
+    a whole-ring Subring has the closed-form graph label for label.  So are its
+    Z(R) and its torsion graph: the inherited zero-product mask and positional
+    keys against ProductRing's key forms."""
     specs = [f"Z{n}" for n in range(2, 121)]
     specs += [spec.ring_id() for spec in enumerate_product_specs(120, 3)]
     for rid in specs:
         ring = product_ring(rid)
         reps = [members[0] for _, members in ring.annihilator_classes()]
-        sub = ring.subring_generated(reps, include_one=True)
-        assert sub.order == ring.order, rid
+        assert ring.subring_generated([ring.one, *reps]) is ring, rid
+        sub = Subring(ring, frozenset(ring.elements()))
         sub.validate_closure()
         ia, ia_sub = build_ia(ring), build_ia(sub)
         assert ia_sub.labels == ia.labels, rid

@@ -6,7 +6,7 @@ import operator
 import pathlib
 import random
 import tracemalloc
-from itertools import product as cartesian
+from itertools import combinations_with_replacement, product as cartesian
 
 import numpy as np
 import pytest
@@ -96,9 +96,11 @@ def test_factorization_remultiplies():
 
 
 def test_subring_members_must_live_in_parent():
+    """Too large, the wrong arity, negative, or equal to the modulus."""
     ring = product_ring("Z4")
-    with pytest.raises(ValueError):
-        Subring(ring, frozenset({(0,), (9,)}))
+    for member in ((9,), (0, 0), (-1,), (4,)):
+        with pytest.raises(ValueError, match="is outside the parent ring"):
+            Subring(ring, frozenset({(0,), member}))
 
 
 def test_format_element():
@@ -439,8 +441,7 @@ def test_nilpotent_fast_path_equals_powering(small_ring_ids):
 def test_subring_generated_by_one_is_whole_ring():
     ring = product_ring("Z12")
     sub = ring.subring_generated([(1,)])
-    assert sub.order == 12
-    assert sub.contains(ring.one)
+    assert sub is ring
 
 
 def test_subring_diagonal():
@@ -694,7 +695,7 @@ def test_subring_zero_divisors_and_classes_match_loops(generated_subrings):
             assert sub.annihilator_set(x) == ann[x]
 
 
-def loop_subring_members(ring, gens, include_one=False):
+def loop_subring_members(ring, gens):
     """The +/* fixpoint generation used to run: the additive closure, grown by
     cosets of each seed, alternated with all pairwise products until stable."""
     mods, zero = ring.spec.factors, ring.zero
@@ -708,13 +709,27 @@ def loop_subring_members(ring, gens, include_one=False):
                 x = oracle_add(mods, x, g)
         return group
 
-    members = additive_closure(set(gens) | ({ring.one} if include_one else set()))
+    members = additive_closure(set(gens))
     while len(members) < ring.order:
         products = {oracle_mul(mods, a, b) for a in members for b in members}
         if products <= members:
             break
         members = additive_closure(members | products)
     return members
+
+
+def test_generated_subring_is_the_ring_exactly_when_it_fills_it():
+    """The ring object itself when the loop closure is all of R, and a closed
+    Subring of the loop's members otherwise: every generator pair of small rings."""
+    for rid in ("Z8", "Z12", "Z2xZ2", "Z2xZ4", "Z4xZ4", "Z2xZ3xZ5"):
+        ring = product_ring(rid)
+        for x, y in combinations_with_replacement(ring.elements(), 2):
+            members = loop_subring_members(ring, [x, y])
+            sub = ring.subring_generated([x, y])
+            assert (sub is ring) == (len(members) == ring.order), (rid, x, y)
+            if sub is not ring:
+                assert isinstance(sub, Subring) and sub.members == members, (rid, x, y)
+                sub.validate_closure()
 
 
 def loop_is_closed(mods, members):
@@ -746,11 +761,13 @@ def test_subring_generation_matches_fixpoint_on_random_rings():
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(cases())
     def check(case):
-        mods, gens, include_one = case
+        mods, gens, with_one = case
         ring = ProductRing(RingSpec(mods))
-        sub = ring.subring_generated(gens, include_one=include_one)
-        assert set(sub.members) == loop_subring_members(ring, gens, include_one)
-        sub.validate_closure()
+        gens = [ring.one] * with_one + gens
+        sub = ring.subring_generated(gens)
+        assert set(sub.elements(None)) == loop_subring_members(ring, gens)
+        if sub is not ring:
+            sub.validate_closure()
 
     check()
 
@@ -767,7 +784,7 @@ def test_validate_closure_matches_loop_on_random_sets():
         elems = ring.elements()
         members = set(draw(st.lists(st.sampled_from(elems), max_size=10)))
         if draw(st.booleans()):
-            members = set(ring.subring_generated(members).members)
+            members = set(ring.subring_generated(members).elements())
         return ring, frozenset(members | {ring.zero})
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)

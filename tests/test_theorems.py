@@ -488,7 +488,7 @@ def _generate(monkeypatch, members):
     monkeypatch.setattr(
         ProductRing,
         "subring_generated",
-        lambda self, gens, include_one=False, cap=None: Subring(self, frozenset(members)),
+        lambda self, gens, cap=None: Subring(self, frozenset(members)),
     )
 
 
@@ -518,9 +518,10 @@ def test_whole_ring_subring_keeps_the_isomorphism_cap_skip():
     assert check.reason == "isomorphism cap 64 exceeded (70 vs 70 vertices)"
 
 
-def test_check_ring_takes_product_rings_only(generated_subrings):
+def test_check_ring_takes_product_rings_only():
+    ring = product_ring("Z4xZ4")
     with pytest.raises(UnsupportedVariantError):
-        check_ring(generated_subrings[0])
+        check_ring(Subring(ring, frozenset(ring.elements())))
 
 
 # ---------------------------------------------------------------------------
