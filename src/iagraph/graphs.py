@@ -14,6 +14,9 @@ of one valuation core: by CRT the classes of prod Z_{p_j^e_j} are the tuples
 0 <= v_j <= e_j other than all-0 and all-e, adjacent iff some v_j, w_j >= 1.
 The divisor form of Z_n labels v by prod p_j^v_j (adjacency is gcd != 1); a
 product of k integral domains (every e_j = 1) by its support pattern 1 - v.
+
+Every builder checks its vertex count against the graph cap before it fills an
+adjacency matrix, through ``check_graph_cap``, the one place that words the error.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ from .rings import (
 )
 
 DEFAULT_GRAPH_VERTEX_CAP = 4096
+
+
+def check_graph_cap(count: int, vertex_cap: int, noun: str = "vertices") -> None:
+    """Raise the graph-cap error when a graph would have more vertices than the cap."""
+    if count > vertex_cap:
+        raise CapExceededError(f"{count} {noun} above graph cap {vertex_cap}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +163,7 @@ def build_ia(
 ) -> Graph:
     """Compressed annihilator-intersection graph of the ring."""
     classes = compress_classes(ring, cap)
-    if len(classes) > vertex_cap:
-        raise CapExceededError(f"{len(classes)} vertices above graph cap {vertex_cap}")
+    check_graph_cap(len(classes), vertex_cap)
     return _meet_graph(
         ring, [c.label for c in classes], [c.key for c in classes], [c.size for c in classes]
     )
@@ -173,8 +181,7 @@ def build_torsion(
     to compare the compressed graph against.
     """
     verts, keys = ring.nonzero_zero_divisors_with_keys(cap)
-    if len(verts) > vertex_cap:
-        raise CapExceededError(f"{len(verts)} vertices above graph cap {vertex_cap}")
+    check_graph_cap(len(verts), vertex_cap)
     return _meet_graph(ring, [format_element(x) for x in verts], keys)
 
 
@@ -185,8 +192,7 @@ def build_total(
 ) -> Graph:
     """Total graph: all elements, x adjacent to y iff x + y is a zero-divisor."""
     verts = list(ring.elements(cap))
-    if len(verts) > vertex_cap:
-        raise CapExceededError(f"{len(verts)} vertices above graph cap {vertex_cap}")
+    check_graph_cap(len(verts), vertex_cap)
     adj = np.empty((len(verts), len(verts)), dtype=bool)
     for start, block in ring.zero_divisor_sum_blocks(verts):
         adj[start : start + len(block)] = block
@@ -228,10 +234,7 @@ def build_ia_zn_symbolic(
         if factorization[p] < 1:
             raise ValueError(f"exponent {factorization[p]} below 1 for prime {p}")
     n_vertices = math.prod(e + 1 for e in factorization.values()) - 2
-    if n_vertices > vertex_cap:
-        raise CapExceededError(
-            f"{n_vertices} divisor vertices above graph cap {vertex_cap}"
-        )
+    check_graph_cap(n_vertices, vertex_cap, "divisor vertices")
     return _valuation_graph(
         [factorization[p] for p in primes],
         lambda v: math.prod(map(pow, primes, v)),
@@ -255,9 +258,7 @@ def build_ia_domain_product(
     """
     if k < 2:
         raise ValueError("need at least 2 factors")
-    n_vertices = 2**k - 2
-    if n_vertices > vertex_cap:
-        raise CapExceededError(f"{n_vertices} vertices above graph cap {vertex_cap}")
+    check_graph_cap(2**k - 2, vertex_cap)
     return _valuation_graph([1] * k, lambda v: "".join("10"[i] for i in v))
 
 

@@ -78,7 +78,7 @@ class UnsupportedVariantError(TypeError):
 # integer helpers
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)  # bounded: a per-ring sweep to 10^6 would keep every n
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 2 as a sorted tuple of (prime, exponent)."""
     if n < 2:

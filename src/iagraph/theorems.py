@@ -23,6 +23,19 @@ L4.gcd-adj) keep the element cap and the brute-force engine, which also
 supplies the witness of a failing ring-side check; above the element cap
 the closed-form facts are the witness.
 
+Each cap is one rule, checked in the layer that owns it:
+
+* graph: the vertices of any graph, in ``graphs.check_graph_cap`` (every
+  builder, and the signature cache before a lookup);
+* element: every element scan, in the ring's ``elements(cap)``; symbolic
+  mode builds the same ``ProductRing`` for L4.gcd-adj and witnesses, so both
+  modes give one reason;
+* subring, total, torsion: the ring order of T2.subring, T2.embed and the
+  two torsion checks, in ``_run_checks`` before the check runs, from the
+  table ``_ELEMENT_CAPS``.  These checks read the ring's elements beyond
+  its graph, so symbolic mode does not run them;
+* iso: the vertices of an isomorphism test, in ``invariants.is_isomorphic``.
+
 Self-check: in brute mode the first ring of each signature within the
 element cap is cross-checked, its cached report against the invariants of
 its brute-force graph and its closed forms against the engine's scans; a
@@ -61,6 +74,7 @@ from .graphs import (
     build_ia,
     build_ia_zn_symbolic,
     build_torsion,
+    check_graph_cap,
     zn_symbolic_from_n,
 )
 from .invariants import DEFAULT_ISO_VERTEX_CAP, InvariantReport, diameter, invariants, is_isomorphic
@@ -231,10 +245,16 @@ class SelfCheckError(RuntimeError):
 _SIGNATURE_CACHE: dict[tuple[int, ...], InvariantReport] = {}
 _CROSS_CHECKED: set[tuple[int, ...]] = set()  # signatures the engine has confirmed
 
-# Checks that read the ring's elements beyond its graph: not run in symbolic mode.
-_ELEMENT_CHECKS = frozenset(("T2.subring", "T2.embed", "T3.torsion-complete", "T3.torsion-diam"))
+# The checks that read the ring's elements beyond its graph, each with the Caps
+# field that bounds its ring order; none of them runs in symbolic mode.
+_ELEMENT_CAPS = {
+    "T2.subring": "subring",
+    "T2.embed": "total",
+    "T3.torsion-complete": "torsion",
+    "T3.torsion-diam": "torsion",
+}
 # Checks the ring shape does not decide: selecting one makes a sweep check every ring.
-_PER_RING_CHECKS = _ELEMENT_CHECKS | {"L4.gcd-adj"}
+_PER_RING_CHECKS = frozenset(_ELEMENT_CAPS) | {"L4.gcd-adj"}
 
 
 def _signature(factors) -> tuple[int, ...]:
@@ -250,9 +270,7 @@ def _factor_signatures(factors) -> tuple[tuple[int, ...], ...]:
 def _check_graph_cap(sig, graph_cap: int, noun: str) -> None:
     """Raise the cap error if the signature's valuation graph, one vertex per
     divisor d of n with 1 < d < n, has more vertices than the graph cap."""
-    count = math.prod(e + 1 for e in sig) - 2
-    if count > graph_cap:
-        raise CapExceededError(f"{count} {noun} above graph cap {graph_cap}")
+    check_graph_cap(math.prod(e + 1 for e in sig) - 2, graph_cap, noun)
 
 
 def _signature_invariants(sig, graph_cap: int, noun: str) -> InvariantReport:
@@ -272,7 +290,7 @@ class _RingContext:
     signature cache and the closed forms; the element-level ones come from the
     engine on demand.  Without a ring this is symbolic mode: the element-level
     checks are not available, and the ring is built only for L4.gcd-adj and
-    witnesses, within the element cap."""
+    witnesses; its elements(cap) bounds their scans, as in brute mode."""
 
     unavailable = frozenset()  # check ids reported as not available
     noun = "vertices"  # what the graph cap counts
@@ -286,7 +304,7 @@ class _RingContext:
         self.z_ideal = len(sig) == 1
         self.ring_id = "x".join([f"Z{n}" for n in factors])
         if ring is None:
-            self.unavailable = _ELEMENT_CHECKS
+            self.unavailable = _ELEMENT_CAPS.keys()
             self.noun = "divisor vertices"
         else:
             self.ring = ring
@@ -309,9 +327,6 @@ class _RingContext:
     @cached_property
     def ring(self) -> ProductRing:
         """Symbolic mode only; brute mode sets the ring in __init__."""
-        order = math.prod(self.factors)
-        if order > self.caps.element:
-            raise CapExceededError(f"order {order} above element cap {self.caps.element}")
         return ProductRing(RingSpec(self.factors))
 
     @cached_property
@@ -320,10 +335,6 @@ class _RingContext:
 
     @cached_property
     def torsion(self) -> Graph:
-        if self.ring.order > self.caps.torsion:
-            raise CapExceededError(
-                f"order {self.ring.order} above torsion cap {self.caps.torsion}"
-            )
         return build_torsion(self.ring, self.caps.element, self.caps.graph)
 
     @cached_property
@@ -365,7 +376,8 @@ def _cross_check(ctx: _RingContext) -> None:
 # A check returns its verdict and _run_checks builds the outcome: None for a
 # pass, a witness dict for a failure, a reason string for a vacuous pass, or
 # _INAPPLICABLE when the hypothesis fails.  It raises CapExceededError when a
-# cap prevents evaluating it.
+# cap prevents evaluating it.  An element-level check runs only once
+# _run_checks has found its ring order within its cap of _ELEMENT_CAPS.
 
 _INAPPLICABLE = object()
 
@@ -399,19 +411,16 @@ def _check_goldie(ctx: _RingContext):
 
 
 def _check_subring(ctx: _RingContext):
-    """The subring S generated by class representatives and 1 has the same graph.
+    """The subring S generated by the class representatives has the same graph.
 
-    S contains 1.  A generated S that fills R is R itself, the ring object, so
-    it is closed and its graph is ctx.ia, and neither the closure scan nor a
-    second graph build can tell anything.  A proper S gets both.  The
-    isomorphism test runs either way, so the iso cap skips alike.
+    S is proper on Z_{p^k}, where it is pZ_{p^k} (the zero ring when k = 1).
+    A generated S that fills R is R itself, the ring object, so it is closed
+    and its graph is ctx.ia, and neither the closure scan nor a second graph
+    build can tell anything.  A proper S gets both.  The isomorphism test runs
+    either way, so the iso cap skips alike.
     """
-    if ctx.ring.order > ctx.caps.subring:
-        raise CapExceededError(
-            f"order {ctx.ring.order} above subring cap {ctx.caps.subring}"
-        )
     reps = [members[0] for _, members in ctx.ring.annihilator_classes(ctx.caps.element)]
-    sub = ctx.ring.subring_generated([ctx.ring.one, *reps], cap=ctx.caps.element)
+    sub = ctx.ring.subring_generated(reps, cap=ctx.caps.element)
     ia_sub = ctx.ia
     if sub is not ctx.ring:
         sub.validate_closure()
@@ -441,8 +450,6 @@ def _check_embed(ctx: _RingContext):
     cap.  A hit is a sum outside Z(R) on an edge (i, j), i < j; one sort finds
     the least (i, j, position of x, position of y), the first hit of the loop
     over edges() and the members of each class."""
-    if ctx.ring.order > ctx.caps.total:
-        raise CapExceededError(f"order {ctx.ring.order} above total cap {ctx.caps.total}")
     raw = ctx.ring.annihilator_classes(ctx.caps.element)
     if not ctx.ia.edge_count:
         return "no edges (vacuous)"
@@ -680,20 +687,27 @@ def resolve_check_ids(checks) -> tuple[str, ...]:
     for cid in ids:
         if cid not in _CHECK_FUNCS:
             raise ValueError(f"unknown check id {cid!r}")
+        if ids.count(cid) > 1:
+            raise ValueError(f"repeated check id {cid!r}")
     return ids
 
 
 def _run_checks(ctx: _RingContext, ids) -> RingReport:
     """Run the checks ids on one context and turn each verdict into its outcome; a
     check it cannot evaluate, or one that would exceed a cap, is reported skipped
-    with the reason."""
+    with the reason.  In order: not available in this mode, the ring order above
+    the check's cap of _ELEMENT_CAPS, then any cap the check body meets."""
     results = []
-    unavailable = ctx.unavailable
+    unavailable, caps, order = ctx.unavailable, ctx.caps, math.prod(ctx.factors)
     for cid in ids:
-        reason = "not available in symbolic mode" if cid in unavailable else ""
-        if not reason:
+        cap_name = _ELEMENT_CAPS.get(cid)
+        if cid in unavailable:
+            reason = "not available in symbolic mode"
+        elif cap_name and order > getattr(caps, cap_name):
+            reason = f"order {order} above {cap_name} cap {getattr(caps, cap_name)}"
+        else:
             try:
-                verdict = _CHECK_FUNCS[cid](ctx)
+                verdict, reason = _CHECK_FUNCS[cid](ctx), ""
             except CapExceededError as exc:
                 reason = str(exc)
         if reason:
@@ -755,6 +769,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in ("zn", "zn-symbolic", "products", "domain-products"):
             raise ValueError(f"unknown sweep family {self.family!r}")
+        for name in ("max_n", "max_factors"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_n < 2:
             raise ValueError("sweep bound must be at least 2")
         if self.family in ("zn", "zn-symbolic") and self.max_n > _SIEVE_MAX:

@@ -240,6 +240,16 @@ def test_verify_unknown_check_exit_two(capsys):
     assert "unknown check" in err
 
 
+def test_repeated_check_id_exit_two(capsys):
+    for argv, cid in (
+        (("sweep", "--family", "zn", "--max", "10"), "T2.goldie"),
+        (("sweep", "--family", "zn-symbolic", "--max", "30"), "L4.three-primes"),
+        (("verify", "--ring", "Z8"), "T3.girth"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--checks", f"{cid},{cid}")
+        assert (code, out, err) == (2, "", f"error: repeated check id '{cid}'\n"), argv
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

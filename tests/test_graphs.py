@@ -201,10 +201,11 @@ def test_torsion_on_subrings_matches_annihilator_sets(generated_subrings):
 
 def test_whole_ring_subring_graph_matches_ring_graph():
     """T2.subring reads R's own graph when the S it generates is the ring
-    itself.  On every zn and products ring of order at most 120 it is, and R as
-    a whole-ring Subring has the closed-form graph label for label.  So are its
-    Z(R) and its torsion graph: the inherited zero-product mask and positional
-    keys against ProductRing's key forms."""
+    itself.  With 1 among the generators it is, on every zn and products ring
+    of order at most 120, and R as a whole-ring Subring has the closed-form
+    graph label for label.  So are its Z(R) and its torsion graph: the
+    inherited zero-product mask and positional keys against ProductRing's key
+    forms."""
     specs = [f"Z{n}" for n in range(2, 121)]
     specs += [spec.ring_id() for spec in enumerate_product_specs(120, 3)]
     for rid in specs:

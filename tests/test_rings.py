@@ -90,6 +90,15 @@ def test_factorize_and_friends():
     assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_factorize_cache_stays_within_its_bound():
+    bound = 1 << 16
+    assert factorize.cache_info().maxsize == bound
+    for n in range(2, bound + 1002):  # more distinct arguments than the bound
+        factorize(n)
+    assert factorize.cache_info().currsize <= bound
+    assert factorize(12) == ((2, 2), (3, 1))  # an evicted entry is recomputed
+
+
 def test_factorization_remultiplies():
     for n in range(2, 3000):
         assert math.prod(p**e for p, e in factorize(n)) == n

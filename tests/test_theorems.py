@@ -177,6 +177,16 @@ def test_single_check_id_string_is_one_id():
         check_ring("Z12", "T9.bogus")
 
 
+def test_repeated_check_id_rejected():
+    for checks in (("T2.goldie", "T2.goldie"), ("T3.girth", "T2.ideal", "T3.girth")):
+        with pytest.raises(ValueError, match=f"repeated check id '{checks[-1]}'"):
+            resolve_check_ids(checks)
+    with pytest.raises(ValueError, match="repeated check id 'L4.three-primes'"):
+        SweepConfig(family="zn-symbolic", max_n=30, checks=("L4.three-primes",) * 2)
+    with pytest.raises(ValueError, match="repeated check id 'T3.girth'"):
+        check_zn_symbolic(8, ("T3.girth", "T3.girth"))
+
+
 def test_summary_counts_match():
     report = check_ring("Z12")
     s = report.summary()
@@ -316,7 +326,22 @@ def test_symbolic_gcd_adj_runs_below_cap_and_skips_above():
     assert by_id(report, "L4.gcd-adj").passed
     report = check_zn_symbolic(10**5, ("L4.gcd-adj",))
     check = by_id(report, "L4.gcd-adj")
-    assert check.skipped and "element cap" in check.reason
+    assert check.skipped and check.reason == "Z100000 has order 100000, above the cap 5000"
+
+
+def test_element_cap_gives_zn_and_zn_symbolic_one_reason():
+    """The ring's own elements(cap) words the element cap in both modes."""
+    brute = check_ring("Z10007", ("L4.gcd-adj",))
+    assert check_zn_symbolic(10007, ("L4.gcd-adj",)).checks == brute.checks
+    assert brute.checks[0].reason == "Z10007 has order 10007, above the cap 5000"
+    reasons = {}
+    for family in ("zn", "zn-symbolic"):
+        config = SweepConfig(family=family, max_n=12, checks=("L4.gcd-adj",), caps=Caps(element=10))
+        reasons[family] = sweep(config).stats["L4.gcd-adj"].skip_reasons
+    assert reasons["zn"] == reasons["zn-symbolic"] == {
+        "Z11 has order 11, above the cap 10": 1,
+        "Z12 has order 12, above the cap 10": 1,
+    }
 
 
 def test_gcd_adj_decides_both_caps_before_building_a_graph(monkeypatch):
@@ -327,7 +352,7 @@ def test_gcd_adj_decides_both_caps_before_building_a_graph(monkeypatch):
     caps = Caps(element=50)
     for n in range(51, 400):
         check = by_id(check_zn_symbolic(n, ("L4.gcd-adj",), caps), "L4.gcd-adj")
-        assert check.skipped and check.reason == f"order {n} above element cap 50", n
+        assert check.skipped and check.reason == f"Z{n} has order {n}, above the cap 50", n
     assert built == []
     caps = Caps(element=10, graph=2)
     for report in (
@@ -504,6 +529,15 @@ def test_proper_subring_is_closure_checked_and_compared(monkeypatch):
     _generate(monkeypatch, [(0,), (2,), (4,), (6,)])  # 2Z_8: one edge, as Z8's graph
     assert by_id(check_ring("Z8", ("T2.subring",)), "T2.subring").passed
     assert [sub.order for sub in scans] == [4]
+
+
+def test_subring_of_the_representatives_is_proper_on_prime_powers(monkeypatch):
+    """Generated without 1, S is pZ_{p^k} on Z_{p^k}: scanned for closure, then
+    compared; on Z_p it is the zero ring, whose graph is as empty as Z_p's."""
+    scans = _closure_scans(monkeypatch)
+    for rid in ("Z8", "Z9", "Z16", "Z27", "Z7", "Z12", "Z2xZ4"):
+        assert by_id(check_ring(rid, ("T2.subring",)), "T2.subring").passed, rid
+    assert [sub.order for sub in scans] == [4, 3, 8, 9, 1]
 
 
 def test_proper_subring_that_is_not_closed_raises(monkeypatch):
@@ -745,6 +779,14 @@ def test_sweep_rejects_bad_config():
         with pytest.raises(ValueError, match="int32 range"):
             SweepConfig(family=family, max_n=2**31)
         assert SweepConfig(family=family, max_n=2**31 - 1).max_n == 2**31 - 1
+
+
+def test_sweep_config_rejects_non_integer_bounds():
+    """Before the sweep starts: a float max_n would fail in range, and a float
+    max_factors would bound no factor count."""
+    for bad in ({"max_n": 10.5}, {"max_n": "10"}, {"max_n": True}, {"max_factors": 2.5}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            SweepConfig(family="products", **{"max_n": 40, **bad})
 
 
 def test_sweep_config_resolves_check_ids_once():
