@@ -7,15 +7,15 @@ family), iso (compare two graphs).
 Exit status: 0 on success, 1 when a requested verification fails (a failed
 check, or a non-isomorphic pair under --expect iso), 2 on usage errors (an
 integer flag takes ASCII digits only), malformed ring specs, an empty check
-selection, caps that are not positive, --jobs outside 1..the CPU count, an
-unwritable --out path or a stdout pipe its reader closed ("error: cannot
-write output: ..."), a zn or zn-symbolic sweep bound above 2**31 - 1 (the
-sieve's int32 range), cap violations, or running out of memory, and 3 when
-a self-check finds the signature cache or a closed form disagreeing with a
-recomputation.  Nothing is written to stdout on exit 2 or 3 but what a
-closed pipe's reader took.  A sweep that visited no rings, or skipped every
-check on every ring, prints a one-line warning on stderr; its exit status
-stays.
+selection, caps that are not positive or named twice in IAGRAPH_CAPS, --jobs
+outside 1..the CPU count, an unwritable --out path or a stdout pipe its
+reader closed ("error: cannot write output: ..."), a zn or zn-symbolic sweep
+bound above 2**31 - 1 (the sieve's int32 range), cap violations, or running
+out of memory, and 3 when a self-check finds the signature cache or a closed
+form disagreeing with a recomputation.  Nothing is written to stdout on exit
+2 or 3 but what a closed pipe's reader took.  A sweep that visited no rings,
+or skipped every check on every ring, prints a one-line warning on stderr;
+its exit status stays.
 """
 
 from __future__ import annotations

@@ -43,10 +43,12 @@ from .rings import (
 DEFAULT_GRAPH_VERTEX_CAP = 4096
 
 
-def check_graph_cap(count: int, vertex_cap: int, noun: str = "vertices") -> None:
-    """Raise the graph-cap error when a graph would have more vertices than the cap."""
+def check_graph_cap(count: int, vertex_cap: int) -> None:
+    """Raise the graph-cap error when a graph would have more vertices than the
+    cap: one wording for every graph, divisor graphs included."""
     if count > vertex_cap:
-        raise CapExceededError(f"{count} {noun} above graph cap {vertex_cap}")
+        rule = f"graph cap {vertex_cap}"
+        raise CapExceededError(f"{count} vertices above {rule}", rule)
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,7 @@ def build_ia_zn_symbolic(
         if factorization[p] < 1:
             raise ValueError(f"exponent {factorization[p]} below 1 for prime {p}")
     n_vertices = math.prod(e + 1 for e in factorization.values()) - 2
-    check_graph_cap(n_vertices, vertex_cap, "divisor vertices")
+    check_graph_cap(n_vertices, vertex_cap)
     return _valuation_graph(
         [factorization[p] for p in primes],
         lambda v: math.prod(map(pow, primes, v)),

@@ -248,7 +248,8 @@ def is_isomorphic(
     if g.vertex_count > vertex_cap or h.vertex_count > vertex_cap:
         raise CapExceededError(
             f"isomorphism cap {vertex_cap} exceeded "
-            f"({g.vertex_count} vs {h.vertex_count} vertices)"
+            f"({g.vertex_count} vs {h.vertex_count} vertices)",
+            f"isomorphism cap {vertex_cap}",
         )
     n = g.vertex_count
     if n != h.vertex_count or g.edge_count != h.edge_count:

@@ -67,7 +67,13 @@ class RingSpecError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An enumeration would exceed the configured brute-force cap."""
+    """An enumeration would exceed a configured cap.  ``rule`` names the cap
+    and its value without the ring, e.g. "element cap 5000"; every raise sets
+    it (its default lets a pickled error rebuild from its message)."""
+
+    def __init__(self, message: str, rule: str = ""):
+        super().__init__(message)
+        self.rule = rule
 
 
 class UnsupportedVariantError(TypeError):
@@ -255,7 +261,8 @@ class FiniteRing:
     def _strides(self) -> tuple[int, ...]:
         if self.spec.order - 1 > _INT64_MAX:
             raise CapExceededError(
-                f"{self.spec.ring_id()} has order {self.spec.order}, past int64 element codes"
+                f"{self.spec.ring_id()} has order {self.spec.order}, past int64 element codes",
+                "int64 element codes",
             )
         mods = self.spec.factors
         return tuple(math.prod(mods[i + 1 :]) for i in range(len(mods)))
@@ -508,7 +515,8 @@ class ProductRing(FiniteRing):
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
         if cap is not None and self.order > cap:
             raise CapExceededError(
-                f"{self.spec.ring_id()} has order {self.order}, above the cap {cap}"
+                f"{self.spec.ring_id()} has order {self.order}, above the cap {cap}",
+                f"element cap {cap}",
             )
         if self._element_cache is None:
             self._element_cache = tuple(cartesian(*[range(n) for n in self.spec.factors]))
@@ -533,7 +541,9 @@ class ProductRing(FiniteRing):
             raise ValueError(f"key {key} has arity {len(key)}, ring expects {self.arity}")
         size = math.prod(n // g for g, n in zip(key, self.spec.factors))
         if cap is not None and size > cap:
-            raise CapExceededError(f"ideal of size {size} above the cap {cap}")
+            raise CapExceededError(
+                f"ideal of size {size} above the cap {cap}", f"element cap {cap}"
+            )
         return set(cartesian(*[range(0, n, g) for g, n in zip(key, self.spec.factors)]))
 
     @cached_property
@@ -600,7 +610,9 @@ class Subring(FiniteRing):
 
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
         if cap is not None and self.order > cap:
-            raise CapExceededError(f"subring order {self.order} above the cap {cap}")
+            raise CapExceededError(
+                f"subring order {self.order} above the cap {cap}", f"element cap {cap}"
+            )
         return self._element_cache
 
     def contains(self, x: Element) -> bool:

@@ -23,24 +23,25 @@ L4.gcd-adj) keep the element cap and the brute-force engine, which also
 supplies the witness of a failing ring-side check; above the element cap
 the closed-form facts are the witness.
 
-Each cap is one rule, checked in the layer that owns it:
+Brute mode (``check_ring``) and symbolic mode (``check_zn_symbolic``) run
+every check on one path, under the same caps, in the same order, with the
+same reason: symbolic mode builds its ``ProductRing`` only when a check or a
+witness reads the elements.  Each cap is one rule, checked in the layer
+that owns it:
 
 * graph: the vertices of any graph, in ``graphs.check_graph_cap`` (every
   builder, and the signature cache before a lookup);
-* element: every element scan, in the ring's ``elements(cap)``; symbolic
-  mode builds the same ``ProductRing`` for L4.gcd-adj and witnesses, so both
-  modes give one reason;
+* element: every element scan, in the ring's ``elements(cap)``;
 * subring, total, torsion: the ring order of T2.subring, T2.embed and the
   two torsion checks, in ``_run_checks`` before the check runs, from the
-  table ``_ELEMENT_CAPS``.  These checks read the ring's elements beyond
-  its graph, so symbolic mode does not run them;
+  table ``_ELEMENT_CAPS``;
 * iso: the vertices of an isomorphism test, in ``invariants.is_isomorphic``.
 
-Self-check: in brute mode the first ring of each signature within the
-element cap is cross-checked, its cached report against the invariants of
-its brute-force graph and its closed forms against the engine's scans; a
-zn-symbolic sweep rebuilds the divisor graph of every n divisible by 199.
-A mismatch raises ``SelfCheckError``.
+The two modes differ only in their self-check: in brute mode the first ring
+of each signature within the element cap is cross-checked, its cached
+report against the invariants of its brute-force graph and its closed forms
+against the engine's scans; a zn-symbolic sweep rebuilds the divisor graph
+of every n divisible by 199.  A mismatch raises ``SelfCheckError``.
 
 Sweeps enumerate ring families deterministically and key each ring by its
 shape: the signature of each factor, in factor order, or the signature
@@ -121,13 +122,17 @@ class Caps:
             name, _, num = part.partition("=")
             if name not in Caps.__dataclass_fields__ or not (num.isascii() and num.isdigit()):
                 raise ValueError(f"bad IAGRAPH_CAPS entry {part!r}")
+            if name in values:
+                raise ValueError(f"repeated IAGRAPH_CAPS entry {name!r}")
             values[name] = int(num)
         return Caps(**values)
 
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """One check's outcome on one ring; frozen, since reports share plain ones."""
+    """One check's outcome on one ring; frozen, since reports share plain ones.
+    A skip keeps the reason, which may name the ring, and the cap's rule, which
+    does not: a sweep counts its skips by rule."""
 
     id: str
     applicable: bool
@@ -135,6 +140,7 @@ class TheoremCheck:
     witness: dict | None = None
     skipped: bool = False
     reason: str = ""
+    rule: str = ""
 
     @property
     def failed(self) -> bool:
@@ -166,7 +172,7 @@ class CheckStats:
     def absorb(self, ring: str, check: TheoremCheck) -> None:
         if check.skipped:
             self.skipped += 1
-            self.skip_reasons[check.reason] += 1
+            self.skip_reasons[check.rule] += 1
         elif not check.applicable:
             self.inapplicable += 1
         else:
@@ -246,7 +252,7 @@ _SIGNATURE_CACHE: dict[tuple[int, ...], InvariantReport] = {}
 _CROSS_CHECKED: set[tuple[int, ...]] = set()  # signatures the engine has confirmed
 
 # The checks that read the ring's elements beyond its graph, each with the Caps
-# field that bounds its ring order; none of them runs in symbolic mode.
+# field that bounds its ring order.
 _ELEMENT_CAPS = {
     "T2.subring": "subring",
     "T2.embed": "total",
@@ -267,17 +273,17 @@ def _factor_signatures(factors) -> tuple[tuple[int, ...], ...]:
     return tuple(_signature((n,)) for n in factors)
 
 
-def _check_graph_cap(sig, graph_cap: int, noun: str) -> None:
+def _check_graph_cap(sig, graph_cap: int) -> None:
     """Raise the cap error if the signature's valuation graph, one vertex per
     divisor d of n with 1 < d < n, has more vertices than the graph cap."""
-    check_graph_cap(math.prod(e + 1 for e in sig) - 2, graph_cap, noun)
+    check_graph_cap(math.prod(e + 1 for e in sig) - 2, graph_cap)
 
 
-def _signature_invariants(sig, graph_cap: int, noun: str) -> InvariantReport:
+def _signature_invariants(sig, graph_cap: int) -> InvariantReport:
     """The cached report of the signature's valuation graph, checked against the
     graph cap; a miss is built as the divisor graph of the first len(sig) primes
     raised to the exponents of sig."""
-    _check_graph_cap(sig, graph_cap, noun)
+    _check_graph_cap(sig, graph_cap)
     report = _SIGNATURE_CACHE.get(sig)
     if report is None:
         factorization = dict(zip(_first_primes(len(sig)), sig))
@@ -288,12 +294,9 @@ def _signature_invariants(sig, graph_cap: int, noun: str) -> InvariantReport:
 class _RingContext:
     """Facts about R = Z_{n1} x ... x Z_{nk}.  The graph-side facts come from the
     signature cache and the closed forms; the element-level ones come from the
-    engine on demand.  Without a ring this is symbolic mode: the element-level
-    checks are not available, and the ring is built only for L4.gcd-adj and
-    witnesses; its elements(cap) bounds their scans, as in brute mode."""
-
-    unavailable = frozenset()  # check ids reported as not available
-    noun = "vertices"  # what the graph cap counts
+    engine on demand.  Without a ring this is symbolic mode, where the ring is
+    built the first time a check or a witness reads it; either way its
+    elements(cap) bounds every element scan."""
 
     def __init__(self, factors: tuple[int, ...], caps: Caps, ring: ProductRing | None = None):
         self.start_ns = time.perf_counter_ns()
@@ -303,16 +306,13 @@ class _RingContext:
         self.factor_signatures = _factor_signatures(factors)
         self.z_ideal = len(sig) == 1
         self.ring_id = "x".join([f"Z{n}" for n in factors])
-        if ring is None:
-            self.unavailable = _ELEMENT_CAPS.keys()
-            self.noun = "divisor vertices"
-        else:
+        if ring is not None:
             self.ring = ring
 
     @cached_property
     def ia_inv(self) -> InvariantReport:
         """Over the graph cap, the cap error is raised inside the check that reads it."""
-        return _signature_invariants(self.signature, self.caps.graph, self.noun)
+        return _signature_invariants(self.signature, self.caps.graph)
 
     # the other closed forms, in L = len(signature) local factors
     @property
@@ -476,7 +476,7 @@ def _check_vnr_or_nil(ctx: _RingContext):
     if ctx.reduced and ctx.decomposes:
         return _INAPPLICABLE
     inv = ctx.ia_inv
-    ok = inv.connected and inv.diameter is not None and inv.diameter <= 3
+    ok = inv.connected and inv.diameter <= 3
     return None if ok else {"connected": inv.connected, "diameter": _num(inv.diameter)}
 
 
@@ -491,7 +491,7 @@ def _check_diam3(ctx: _RingContext):
     inv = ctx.ia_inv
     if inv.vertex_count <= 2:
         return _INAPPLICABLE
-    ok = inv.connected and inv.diameter is not None and inv.diameter <= 3
+    ok = inv.connected and inv.diameter <= 3
     if inv.vertex_count == 3:
         ok = ok and inv.complete
     if ok:
@@ -547,7 +547,7 @@ def _check_gcd_adj(ctx: _RingContext):
     Both caps are decided before either graph is built."""
     if len(ctx.factors) != 1:
         return _INAPPLICABLE
-    _check_graph_cap(ctx.signature, ctx.caps.graph, "divisor vertices")
+    _check_graph_cap(ctx.signature, ctx.caps.graph)
     brute = ctx.ia
     symbolic = zn_symbolic_from_n(ctx.factors[0], ctx.caps.graph)
     if set(brute.labels) == set(symbolic.labels) and brute.edge_labels() == symbolic.edge_labels():
@@ -566,12 +566,7 @@ def _check_three_primes(ctx: _RingContext):
     if len(ctx.factors) != 1 or sum(ctx.signature) < 3:
         return _INAPPLICABLE
     inv = ctx.ia_inv
-    ok = (
-        inv.connected
-        and inv.diameter is not None
-        and inv.diameter <= 2
-        and inv.girth == 3
-    )
+    ok = inv.connected and inv.diameter <= 2 and inv.girth == 3
     if len(ctx.signature) >= 2:  # at least two distinct primes: diameter exactly 2
         ok = ok and inv.diameter == 2
     if ok:
@@ -625,13 +620,7 @@ def _check_mixed(ctx: _RingContext):
     if len(sigs) != 2 or sigs == (_FIELD, _FIELD):
         return _INAPPLICABLE
     inv = ctx.ia_inv
-    ok = (
-        inv.connected
-        and not inv.complete
-        and inv.diameter is not None
-        and inv.diameter <= 3
-        and inv.girth == 3
-    )
+    ok = inv.connected and not inv.complete and inv.diameter <= 3 and inv.girth == 3
     return None if ok else _inv_witness(inv)
 
 
@@ -694,24 +683,23 @@ def resolve_check_ids(checks) -> tuple[str, ...]:
 
 def _run_checks(ctx: _RingContext, ids) -> RingReport:
     """Run the checks ids on one context and turn each verdict into its outcome; a
-    check it cannot evaluate, or one that would exceed a cap, is reported skipped
-    with the reason.  In order: not available in this mode, the ring order above
-    the check's cap of _ELEMENT_CAPS, then any cap the check body meets."""
+    check that would exceed a cap is reported skipped with the reason and the
+    cap's rule.  In order: the ring order above the check's cap of _ELEMENT_CAPS,
+    then any cap the check body meets."""
     results = []
-    unavailable, caps, order = ctx.unavailable, ctx.caps, math.prod(ctx.factors)
+    caps, order = ctx.caps, math.prod(ctx.factors)
     for cid in ids:
         cap_name = _ELEMENT_CAPS.get(cid)
-        if cid in unavailable:
-            reason = "not available in symbolic mode"
-        elif cap_name and order > getattr(caps, cap_name):
-            reason = f"order {order} above {cap_name} cap {getattr(caps, cap_name)}"
+        if cap_name and order > getattr(caps, cap_name):
+            rule = f"{cap_name} cap {getattr(caps, cap_name)}"
+            reason = f"order {order} above {rule}"
         else:
             try:
                 verdict, reason = _CHECK_FUNCS[cid](ctx), ""
             except CapExceededError as exc:
-                reason = str(exc)
+                reason, rule = str(exc), exc.rule
         if reason:
-            outcome = TheoremCheck(cid, applicable=False, passed=None, skipped=True, reason=reason)
+            outcome = TheoremCheck(cid, False, None, skipped=True, reason=reason, rule=rule)
         elif verdict is None:
             outcome = _PASSED[cid]
         elif verdict is _INAPPLICABLE:
@@ -743,14 +731,14 @@ def check_ring(ring, checks="all", caps: Caps | None = None) -> RingReport:
 
 
 def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None) -> RingReport:
-    """Run the selected checks on Z_n in symbolic mode: the element-level checks
-    are not available, and no ring is cross-checked."""
+    """Run the selected checks on Z_n in symbolic mode: the report of check_ring
+    on Z_n, without its cross-check."""
     return _run_checks(_RingContext((n,), caps or Caps()), resolve_check_ids(checks))
 
 
 def symbolic_invariants(n: int, caps: Caps) -> InvariantReport:
     """Invariants of the divisor-form graph of Z_n, from the signature cache."""
-    return _signature_invariants(_signature((n,)), caps.graph, "divisor vertices")
+    return _signature_invariants(_signature((n,)), caps.graph)
 
 
 # ---------------------------------------------------------------------------

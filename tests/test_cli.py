@@ -309,6 +309,20 @@ def test_sweep_symbolic_graph_cap_skips_like_zn(capsys):
         assert json.loads(out)["checks"]["T3.girth"]["skipped"] == 38, family
 
 
+@pytest.mark.parametrize("caps", [(), ("--graph-cap", "2")], ids=["default-caps", "graph-cap-2"])
+def test_zn_and_zn_symbolic_sweeps_print_one_csv(capsys, caps):
+    """Symbolic mode is brute mode without the cross-check: same rows, same reasons."""
+    outputs = []
+    for family in ("zn", "zn-symbolic"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", family, "--max", "200", "--checks", "all",
+            "--format", "csv", *caps,
+        )
+        outputs.append((code, out, err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and outputs[0][1].count("\n") == 1 + 199 * 18
+
+
 def test_sweep_products_family(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--family", "products", "--max", "60",
@@ -574,6 +588,12 @@ def test_huge_zn_bound_and_out_of_memory_exit_two(capsys, monkeypatch):
             capsys, "sweep", "--family", "zn-symbolic", "--max", str(bound), "--checks", "T3.girth"
         )
         assert (code, out, err) == (2, "", message)
+
+
+def test_repeated_cap_in_env_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("IAGRAPH_CAPS", "element=10,element=20")
+    code, out, err = run_cli(capsys, "verify", "--ring", "Z12", "--checks", "L4.gcd-adj")
+    assert (code, out, err) == (2, "", "error: repeated IAGRAPH_CAPS entry 'element'\n")
 
 
 def test_nonpositive_cap_in_env_rejected(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import operator
 import pathlib
+import pickle
 import random
 import tracemalloc
 from itertools import combinations_with_replacement, product as cartesian
@@ -863,6 +864,25 @@ def test_cap_override():
     ring = product_ring("Z12")
     with pytest.raises(CapExceededError):
         ring.elements(cap=10)
+
+
+def test_cap_error_names_its_rule_and_pickles():
+    """Each ring-side cap error carries its rule, without the ring; the error
+    survives a pickle round trip, as it must to leave a pool worker."""
+    ring = product_ring("Z12")
+    sub = ring.subring_generated([(2,)], cap=None)
+    huge = ProductRing(RingSpec((10**10, 10**10)))
+    for raise_it, rule in (
+        (lambda: ring.elements(cap=10), "element cap 10"),
+        (lambda: sub.elements(cap=3), "element cap 3"),
+        (lambda: ring.expand_annihilator_key((1,), cap=5), "element cap 5"),
+        (lambda: huge._strides, "int64 element codes"),
+    ):
+        with pytest.raises(CapExceededError) as info:
+            raise_it()
+        assert info.value.rule == rule
+        again = pickle.loads(pickle.dumps(info.value))
+        assert (str(again), again.rule) == (str(info.value), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,13 @@ def test_caps_from_env():
     assert Caps.from_env({}) == Caps()
 
 
+def test_caps_from_env_rejects_a_repeated_entry():
+    """The last entry would win silently; a repeated name is refused instead."""
+    for raw, name in (("element=10,element=20", "element"), ("graph=5, iso=3, graph=5", "graph")):
+        with pytest.raises(ValueError, match=f"repeated IAGRAPH_CAPS entry '{name}'"):
+            Caps.from_env({"IAGRAPH_CAPS": raw})
+
+
 def test_caps_defaults_are_the_module_defaults():
     from iagraph.graphs import DEFAULT_GRAPH_VERTEX_CAP
     from iagraph.invariants import DEFAULT_ISO_VERTEX_CAP
@@ -305,17 +312,16 @@ def test_symbolic_reports_carry_timing(monkeypatch):
     assert report.to_json_dict()["timing_ms"] == report.timing_ms > 0
 
 
-def test_symbolic_unavailable_checks_are_skipped():
-    """Symbolic mode skips the checks that read elements beyond the graph; the
-    closed forms make the ring-side graph checks available."""
+def test_symbolic_mode_gives_the_brute_report():
+    """One check path: every check of Z_n runs under the same caps, in the same
+    order, with the same reason in both modes, above the element cap too."""
+    for caps in (Caps(), Caps(graph=2)):
+        for n in [*range(2, 301), 5001, 10007, 10**5, 963761198400]:
+            sym = check_zn_symbolic(n, "all", caps)
+            assert sym.checks == check_ring(f"Z{n}", "all", caps).checks, (n, caps)
     report = check_zn_symbolic(120, "all")
     for cid in ("T2.subring", "T2.embed", "T3.torsion-complete", "T3.torsion-diam"):
-        check = by_id(report, cid)
-        assert check.skipped and check.reason == "not available in symbolic mode", cid
-    brute = check_ring("Z120")
-    for cid in CHECK_IDS:
-        if not by_id(report, cid).skipped:
-            assert by_id(report, cid) == by_id(brute, cid), cid
+        assert by_id(report, cid).passed, cid
     report = check_zn_symbolic(10**5, ("T2.goldie", "T3.girth"))
     for cid in ("T2.goldie", "T3.girth"):
         assert by_id(report, cid).applicable and by_id(report, cid).passed, cid
@@ -330,18 +336,31 @@ def test_symbolic_gcd_adj_runs_below_cap_and_skips_above():
 
 
 def test_element_cap_gives_zn_and_zn_symbolic_one_reason():
-    """The ring's own elements(cap) words the element cap in both modes."""
+    """The ring's own elements(cap) words the element cap in both modes.  A
+    report keeps the reason, which names the ring; the sweep counts the rule."""
     brute = check_ring("Z10007", ("L4.gcd-adj",))
     assert check_zn_symbolic(10007, ("L4.gcd-adj",)).checks == brute.checks
     assert brute.checks[0].reason == "Z10007 has order 10007, above the cap 5000"
-    reasons = {}
+    assert brute.checks[0].rule == "element cap 5000"
+    assert "rule" not in brute.checks[0].to_json_dict()
     for family in ("zn", "zn-symbolic"):
         config = SweepConfig(family=family, max_n=12, checks=("L4.gcd-adj",), caps=Caps(element=10))
-        reasons[family] = sweep(config).stats["L4.gcd-adj"].skip_reasons
-    assert reasons["zn"] == reasons["zn-symbolic"] == {
-        "Z11 has order 11, above the cap 10": 1,
-        "Z12 has order 12, above the cap 10": 1,
-    }
+        reports = []
+        assert sweep(config, reports.append).stats["L4.gcd-adj"].skip_reasons == {
+            "element cap 10": 2
+        }
+        assert [r.checks[0].reason for r in reports[-2:]] == [
+            "Z11 has order 11, above the cap 10",
+            "Z12 has order 12, above the cap 10",
+        ], family
+
+
+def test_sweep_counts_element_cap_skips_by_rule():
+    """One aggregate key for the element cap, not one per ring above it."""
+    agg = sweep(SweepConfig(family="zn-symbolic", max_n=10_000, checks=("L4.gcd-adj",)))
+    stats = agg.stats["L4.gcd-adj"]
+    assert stats.skip_reasons == {"element cap 5000": 5000}
+    assert (stats.passed, stats.failed, stats.skipped) == (4999, 0, 5000)
 
 
 def test_gcd_adj_decides_both_caps_before_building_a_graph(monkeypatch):
@@ -359,19 +378,20 @@ def test_gcd_adj_decides_both_caps_before_building_a_graph(monkeypatch):
         check_zn_symbolic(720, ("L4.gcd-adj",), caps),
         check_ring("Z720", ("L4.gcd-adj",), caps),
     ):
-        assert by_id(report, "L4.gcd-adj").reason == "28 divisor vertices above graph cap 2"
+        assert by_id(report, "L4.gcd-adj").reason == "28 vertices above graph cap 2"
     assert built == []
 
 
 def test_symbolic_graph_cap_is_a_skip_cold_and_cached(monkeypatch):
-    """720 = 2^4 3^2 5 has 28 divisor vertices.  Over the graph cap the check is
+    """720 = 2^4 3^2 5 has 28 divisors d with 1 < d < 720, one vertex each.  Over
+    the graph cap the check is
     skipped, whether the signature is cold or cached under the default cap."""
     monkeypatch.delitem(_SIGNATURE_CACHE, (4, 2, 1), raising=False)
     for caps in (Caps(graph=4), Caps(), Caps(graph=4)):
         check = by_id(check_zn_symbolic(720, ("T3.girth",), caps), "T3.girth")
         if caps.graph == 4:
             assert check.skipped, check
-            assert check.reason == "28 divisor vertices above graph cap 4"
+            assert check.reason == "28 vertices above graph cap 4"
         else:
             assert check.passed and (4, 2, 1) in _SIGNATURE_CACHE
 
@@ -383,7 +403,7 @@ def test_symbolic_sweep_over_graph_cap_rechecks_nothing():
     )
     stats = agg.stats["T3.girth"]
     assert stats.skipped + stats.passed + stats.failed + stats.inapplicable == 799
-    assert stats.skip_reasons["4 divisor vertices above graph cap 2"] > 0
+    assert stats.skip_reasons == {"graph cap 2": stats.skipped} and stats.skipped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -752,17 +772,17 @@ def test_products_sweep_cross_checks_the_first_ring_of_each_signature(cold_signa
 
 
 def test_sweep_skips_are_visible():
-    agg = sweep(
-        SweepConfig(
-            family="zn",
-            max_n=30,
-            checks=("T3.torsion-complete",),
-            caps=Caps(torsion=10),
-        )
-    )
-    stats = agg.stats["T3.torsion-complete"]
-    assert stats.skipped == 20  # n from 11 to 30
-    assert any("torsion cap" in reason for reason in stats.skip_reasons)
+    """Each skip is counted under its cap's rule, one key however many rings."""
+    for cid, caps, rule, skipped in (
+        ("T3.torsion-complete", Caps(torsion=10), "torsion cap 10", 20),  # n from 11 to 30
+        ("T2.subring", Caps(subring=10), "subring cap 10", 20),
+        ("T2.embed", Caps(total=10), "total cap 10", 20),
+        ("T2.subring", Caps(iso=3), "isomorphism cap 3", 6),  # 12, 18, 20, 24, 28, 30
+    ):
+        agg = sweep(SweepConfig(family="zn", max_n=30, checks=(cid,), caps=caps))
+        stats = agg.stats[cid]
+        assert stats.skipped == skipped, rule
+        assert stats.skip_reasons == {rule: skipped}
 
 
 def test_sweep_rejects_bad_config():
