@@ -11,19 +11,17 @@ brute-force engine on ``FiniteRing``:
 
 * ``_matrix``: the elements as a cached order x arity int64 matrix;
 * one mixed-radix code, sum of x_i * n_{i+1} * ... * n_k, for elements and
-  for op(a_i, b_j) over pairs; ``_rows`` decodes codes back to elements.
-  Codes ascend with elements().  A ring whose order passes the int64 range
-  gets no codes: ``CapExceededError``, not a wrapped code;
+  for op(a_i, b_j) over pairs.  Codes ascend with elements().  A ring whose
+  order passes the int64 range gets no codes: ``CapExceededError``, not a wrapped code;
 * zero-product rows for any list of elements, and the scan of x + y in
   Z(R) over the pairs of one list, built in blocks of at most
   ``_BLOCK_PAIRS`` pairs, so memory stays bounded and a scan stops at its
   first hit.  The full order x order zero-product matrix is cached only
   where every row is needed, for the default Z(R) mask and class codes;
   ``annihilator_set`` always computes its element's own row;
-* generated subrings on sorted code arrays: the additive subgroup grows by
-  the cosets of each generator's multiples, and products of the generators
-  that grew it are the next generators, until none falls outside; one that
-  fills the ring is the ring object itself;
+* generated subrings as lattices, outside the codes: a triangular integer
+  basis of the generators and the n_i e_i, closed under the products of its
+  rows, whose pivots give the order; one that fills the ring is the ring;
 * ``Subring.validate_closure``, one blocked ``np.isin`` scan of the + and *
   codes against the member codes, for direct callers and for a proper
   generated subring in T2.subring;
@@ -49,7 +47,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as cartesian
+from itertools import combinations_with_replacement as unordered_pairs, product as cartesian
 
 import numpy as np
 
@@ -119,6 +117,25 @@ def shared_support(support: np.ndarray) -> np.ndarray:
     return meet
 
 
+def _triangular(rows, mods) -> list[list[int]]:
+    """Upper-triangular basis of the lattice of Z^k spanned by rows and the n_i e_i.
+
+    Column c starts a pivot row at n_c e_c and runs Euclid between it and
+    every row reduced mod n, which leaves the rows zero on column c.  Euclid
+    on non-negative entries keeps them non-negative, so the pivot d_c is
+    positive and divides n_c; its later entries are reduced mod n_j."""
+    rows, basis = list(rows), []
+    for c, n in enumerate(mods):
+        pivot = [n if j == c else 0 for j in range(len(mods))]
+        for i, r in enumerate(rows):
+            r = [a % m for a, m in zip(r, mods)]
+            while r[c]:
+                pivot, r = r, [a - pivot[c] // r[c] * b for a, b in zip(pivot, r)]
+            rows[i] = r
+        basis.append([a if j == c else a % m for j, (a, m) in enumerate(zip(pivot, mods))])
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # ring specification
 
@@ -130,6 +147,7 @@ class RingSpec:
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))  # hashable from a list too
         if not self.factors:
             raise RingSpecError("a ring needs at least one factor")
         for n in self.factors:
@@ -310,10 +328,6 @@ class FiniteRing:
             out += residues
         return out
 
-    def _rows(self, codes: np.ndarray) -> np.ndarray:
-        """Element rows of codes, the inverse of the code map."""
-        return codes[:, None] // np.array(self._strides) % np.array(self.spec.factors)
-
     def _zero_rows(self, a: np.ndarray) -> np.ndarray:
         """Boolean rows: [i, j] iff a_i * e_j = 0, for the element rows a."""
         mat = self._matrix
@@ -431,46 +445,31 @@ class FiniteRing:
         """Least subset containing gens closed under +, *, -: this ring itself
         when that is every element, a ``Subring`` otherwise.
 
-        The members are the additive subgroup the generators span, grown on
-        sorted codes: a generator outside it adds its multiples k.g up to the
-        first one already inside, whose cosets are then disjoint.  Products
-        distribute over sums, so the subgroup is closed under * once the
-        products of the generators that grew it lie inside; those outside
-        are the next round's generators.  Growth stops once the subgroup is
-        the whole ring, which is then returned as it is.
+        The additive group is L / N, for L the lattice of Z^k spanned by gens
+        and the n_i e_i and N that of the n_i e_i; its order is prod n_i / d_i
+        for the pivots d_i of a triangular basis of L (H. Cohen, *A Course in
+        Computational Algebraic Number Theory*, GTM 138, section 2.4).  L is
+        closed under * once the products of its basis rows lie in it: add them
+        until the pivots stop changing.  The members are sum c_i h_i mod n over
+        0 <= c_i < n_i / d_i.
         """
         self.elements(cap)  # enforce the cap before any closure work
         gens = list(gens)
         self._require(*gens)
-        mods, strides = np.array(self.spec.factors), np.array(self._strides)
-        group = np.zeros(1, dtype=np.int64)  # sorted codes of the subgroup so far
-        basis = []  # the generators that grew it
-        todo = self._as_matrix(gens)
-        while len(todo) and len(group) < self.order:
-            for g in todo:
-                code = g @ strides
-                at = group.searchsorted(code)
-                if at < len(group) and group[at] == code:
-                    continue
-                order = int(np.lcm.reduce(mods // np.gcd(g, mods)))  # additive order of g
-                ks = np.arange(order)[:, None] % mods
-                multiples = self._pair_codes(np.multiply, ks, g[None])[:, 0]
-                inside = np.isin(multiples[1:], group)
-                index = int(inside.argmax()) + 1 if inside.any() else order
-                group = np.sort(
-                    self._pair_codes(np.add, self._rows(group), self._rows(multiples[:index])),
-                    axis=None,
-                )
-                basis.append(g)
-                if len(group) == self.order:  # the whole ring: every product lies inside
-                    break
-            else:
-                basis_rows = self._as_matrix(basis)
-                products = self._pair_codes(np.multiply, basis_rows, basis_rows)
-                todo = self._rows(products[~np.isin(products, group)])
-        if len(group) == self.order:
+        mods = self.spec.factors
+        basis, sizes = _triangular(gens, mods), None
+        # compare pivots, never rows: the basis is not canonical, but nested
+        # lattices with equal pivots are equal
+        while sizes != (sizes := [n // h[i] for i, (h, n) in enumerate(zip(basis, mods))]):
+            products = [[a * b for a, b in zip(g, h)] for g, h in unordered_pairs(basis, 2)]
+            basis = _triangular(basis + products, mods)
+        if math.prod(sizes) == self.order:
             return self
-        return Subring(self.parent_product(), frozenset(map(tuple, self._rows(group).tolist())))
+        members = (
+            tuple(sum(c * h[j] for c, h in zip(cs, basis)) % n for j, n in enumerate(mods))
+            for cs in cartesian(*map(range, sizes))
+        )
+        return Subring(self.parent_product(), frozenset(members))
 
     def has_ann_direct_sum_decomposition(
         self, cap: int | None = DEFAULT_ELEMENT_CAP

@@ -498,3 +498,6 @@ def test_graph_rejects_bad_matrices():
     looped[2, 2] = True
     with pytest.raises(ValueError, match="loop at vertex 2"):
         Graph(labels, looped)
+    for sizes in ([2], [0, -3], [1, 2, 3, 4], [1, 0, 2], [1, 2.5, 1]):
+        with pytest.raises(ValueError, match="class sizes"):
+            Graph(labels, [(0, 1), (1, 2)], class_sizes=sizes)

@@ -22,6 +22,7 @@ from iagraph.rings import (
     RingSpecError,
     Subring,
     UnsupportedVariantError,
+    _triangular,
     factorize,
     format_element,
     is_prime,
@@ -70,6 +71,12 @@ def test_parse_rejects_garbage():
     for bad in ("", "Q5", "Z", "Z12x", "xZ12", "Z-3", "Z4 x Z4x") + non_ascii:
         with pytest.raises(RingSpecError):
             parse_ring_spec(bad)
+
+
+def test_ring_spec_from_a_list_is_the_tuple_spec():
+    spec = RingSpec([4, 6])
+    assert spec == RingSpec((4, 6)) and hash(spec) == hash(RingSpec((4, 6)))
+    assert spec.factors == (4, 6)
 
 
 def test_parse_order_cap():
@@ -705,33 +712,34 @@ def test_subring_zero_divisors_and_classes_match_loops(generated_subrings):
             assert sub.annihilator_set(x) == ann[x]
 
 
+def loop_additive_closure(mods, seed):
+    """The additive group the seed elements span, grown by the cosets of each."""
+    group = {tuple(0 for _ in mods)}
+    for g in seed:
+        shifted, x = list(group), g
+        while x not in group:
+            group.update(oracle_add(mods, x, s) for s in shifted)
+            x = oracle_add(mods, x, g)
+    return group
+
+
 def loop_subring_members(ring, gens):
-    """The +/* fixpoint generation used to run: the additive closure, grown by
-    cosets of each seed, alternated with all pairwise products until stable."""
-    mods, zero = ring.spec.factors, ring.zero
-
-    def additive_closure(seed):
-        group = {zero}
-        for g in seed:
-            shifted, x = list(group), g
-            while x not in group:
-                group.update(oracle_add(mods, x, s) for s in shifted)
-                x = oracle_add(mods, x, g)
-        return group
-
-    members = additive_closure(set(gens))
+    """The +/* fixpoint generation used to run: the additive closure, alternated
+    with all pairwise products until stable."""
+    mods = ring.spec.factors
+    members = loop_additive_closure(mods, set(gens))
     while len(members) < ring.order:
         products = {oracle_mul(mods, a, b) for a in members for b in members}
         if products <= members:
             break
-        members = additive_closure(members | products)
+        members = loop_additive_closure(mods, members | products)
     return members
 
 
 def test_generated_subring_is_the_ring_exactly_when_it_fills_it():
     """The ring object itself when the loop closure is all of R, and a closed
     Subring of the loop's members otherwise: every generator pair of small rings."""
-    for rid in ("Z8", "Z12", "Z2xZ2", "Z2xZ4", "Z4xZ4", "Z2xZ3xZ5"):
+    for rid in ("Z8", "Z12", "Z2xZ2", "Z2xZ4", "Z4xZ4", "Z2xZ3xZ5", "Z2xZ2xZ4", "Z2xZ4xZ4"):
         ring = product_ring(rid)
         for x, y in combinations_with_replacement(ring.elements(), 2):
             members = loop_subring_members(ring, [x, y])
@@ -778,6 +786,35 @@ def test_subring_generation_matches_fixpoint_on_random_rings():
         assert set(sub.elements(None)) == loop_subring_members(ring, gens)
         if sub is not ring:
             sub.validate_closure()
+
+    check()
+
+
+def test_triangular_basis_spans_the_rows_additive_group():
+    """Random integer rows, negative and zero ones among them: the basis is
+    upper-triangular, each pivot d_i is positive and divides n_i, and the
+    product of the n_i / d_i is the order of the group the rows span mod n."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        mods = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+        row = st.lists(st.integers(-30, 30), min_size=len(mods), max_size=len(mods))
+        return tuple(mods), draw(st.lists(row, max_size=4))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        mods, rows = case
+        basis = _triangular(rows, mods)
+        assert len(basis) == len(mods)
+        for i, (h, n) in enumerate(zip(basis, mods)):
+            assert h[:i] == [0] * i, (mods, rows, basis)
+            assert h[i] > 0 and n % h[i] == 0, (mods, rows, basis)
+        residues = {tuple(a % n for a, n in zip(r, mods)) for r in rows}
+        order = math.prod(n // h[i] for i, (h, n) in enumerate(zip(basis, mods)))
+        assert order == len(loop_additive_closure(mods, residues)), (mods, rows, basis)
 
     check()
 
