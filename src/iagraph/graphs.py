@@ -91,10 +91,11 @@ class Graph:
         if len(loops):
             raise ValueError(f"loop at vertex {loops[0]}")
         self.adj = adj
-        self.class_sizes = tuple(class_sizes) if class_sizes is not None else (1,) * n
-        positive = all(isinstance(s, int) and s >= 1 for s in self.class_sizes)
-        if len(self.class_sizes) != n or not positive:
-            raise ValueError(f"class sizes must be {n} positive integers, one per vertex")
+        self.class_sizes = (1,) * n if class_sizes is None else tuple(class_sizes)
+        if class_sizes is not None:
+            positive = all(isinstance(s, int) and s >= 1 for s in self.class_sizes)
+            if len(self.class_sizes) != n or not positive:
+                raise ValueError(f"class sizes must be {n} positive integers, one per vertex")
 
     @property
     def vertex_count(self) -> int:

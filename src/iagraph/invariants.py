@@ -3,7 +3,9 @@
 Every invariant reads the adjacency matrix.  Distances come from an exact
 boolean matrix product: rows packed into 64-bit words, ANDed pairwise in
 blocks of bounded size.  The diameter is the least k at which the reach
-matrix (I | A)^k fills up, None when it stops growing first.  Girth tests
+matrix (I | A)^k fills up, None when it stops growing first, taken on the
+true-twin quotient (one vertex per distinct closed neighbourhood; 3 for a
+torsion graph of 1535 elements) above ``_TWIN_QUOTIENT_MIN_VERTICES``.  Girth tests
 each edge for a common neighbor (a triangle, the common case) and only a
 triangle-free graph falls back to BFS from every vertex.  Infinite values
 are represented by ``None`` and serialized as the string ``"inf"``; no
@@ -93,6 +95,8 @@ class InvariantReport:
 
 # Bound on the bytes of one block of gathered word rows.
 _PRODUCT_BLOCK_BYTES = 1 << 24
+# No twin quotient up to one 64-bit word per row, where hashing costs about a squaring.
+_TWIN_QUOTIENT_MIN_VERTICES = 64
 
 
 def _packed_rows(matrix: np.ndarray) -> np.ndarray:
@@ -142,11 +146,19 @@ def diameter(graph: Graph) -> int | None:
     The reach matrix (I | A)^k marks the pairs at distance at most k.  Squaring
     finds the least power of two 2^t at which it fills up (or stops growing:
     disconnected); the diameter k in (2^(t-1), 2^t] is then lifted bit by bit,
-    so at most 2 log2(n) products are taken."""
+    so at most 2 log2(n) products are taken.  Above _TWIN_QUOTIENT_MIN_VERTICES
+    vertices, only one vertex per distinct row of I | A is kept: true twins keep
+    every distance between classes, and one class left means diameter 1."""
     n = graph.vertex_count
     if n <= 1:
         return 0
-    powers = [graph.adj | np.eye(n, dtype=bool)]  # (I | A)^(2^i)
+    closed = graph.adj | np.eye(n, dtype=bool)
+    if n > _TWIN_QUOTIENT_MIN_VERTICES:
+        words = _packed_rows(closed)
+        keys = words.view(np.dtype((np.void, words.itemsize * words.shape[1])))
+        first = np.unique(keys.ravel(), return_index=True)[1]
+        closed = closed[np.ix_(first, first)]
+    powers = [closed]  # (I | A)^(2^i)
     while not powers[-1].all():
         square = _reach_step(powers[-1], powers[-1])
         if np.array_equal(square, powers[-1]):

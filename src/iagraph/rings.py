@@ -189,11 +189,16 @@ def parse_ring_spec(text: str, max_order: int = DEFAULT_PARSE_ORDER_CAP) -> Ring
     return spec
 
 
+_ELEMENT_TEMPLATES: dict[int, str] = {}  # arity -> "(%d,...,%d)"
+
+
 def format_element(x: Element) -> str:
     """Serialize an element: plain decimal for rank 1, (a,b,...) otherwise."""
     if len(x) == 1:
         return str(x[0])
-    return "(" + ",".join(str(a) for a in x) + ")"
+    if len(x) not in _ELEMENT_TEMPLATES:
+        _ELEMENT_TEMPLATES[len(x)] = "(" + ",".join(["%d"] * len(x)) + ")"
+    return _ELEMENT_TEMPLATES[len(x)] % tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +227,14 @@ class FiniteRing:
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
         """All members in ascending order, so 0 comes first."""
         raise NotImplementedError
+
+    _over_cap_text = "{ring} has order {order}, above the cap {cap}"  # the element-cap error
+
+    def _check_order_cap(self, cap: int | None) -> None:
+        """Raise the element-cap error when the order passes cap; lists nothing."""
+        if cap is not None and self.order > cap:
+            text = self._over_cap_text.format(ring=self.spec.ring_id(), order=self.order, cap=cap)
+            raise CapExceededError(text, f"element cap {cap}")
 
     def contains(self, x: Element) -> bool:
         raise NotImplementedError
@@ -450,10 +463,10 @@ class FiniteRing:
         for the pivots d_i of a triangular basis of L (H. Cohen, *A Course in
         Computational Algebraic Number Theory*, GTM 138, section 2.4).  L is
         closed under * once the products of its basis rows lie in it: add them
-        until the pivots stop changing.  The members are sum c_i h_i mod n over
-        0 <= c_i < n_i / d_i.
+        until the pivots stop changing or L fills the ring.  The members are
+        sum c_i h_i mod n over 0 <= c_i < n_i / d_i.
         """
-        self.elements(cap)  # enforce the cap before any closure work
+        self._check_order_cap(cap)
         gens = list(gens)
         self._require(*gens)
         mods = self.spec.factors
@@ -461,6 +474,8 @@ class FiniteRing:
         # compare pivots, never rows: the basis is not canonical, but nested
         # lattices with equal pivots are equal
         while sizes != (sizes := [n // h[i] for i, (h, n) in enumerate(zip(basis, mods))]):
+            if math.prod(sizes) == self.order:
+                break  # a lattice that fills the ring is closed under * already
             products = [[a * b for a, b in zip(g, h)] for g, h in unordered_pairs(basis, 2)]
             basis = _triangular(basis + products, mods)
         if math.prod(sizes) == self.order:
@@ -512,11 +527,7 @@ class ProductRing(FiniteRing):
         return len(x) == self.arity and all(0 <= a < n for a, n in zip(x, self.spec.factors))
 
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
-        if cap is not None and self.order > cap:
-            raise CapExceededError(
-                f"{self.spec.ring_id()} has order {self.order}, above the cap {cap}",
-                f"element cap {cap}",
-            )
+        self._check_order_cap(cap)
         if self._element_cache is None:
             self._element_cache = tuple(cartesian(*[range(n) for n in self.spec.factors]))
         return self._element_cache
@@ -586,6 +597,8 @@ class Subring(FiniteRing):
     default of ``FiniteRing``, never by key arithmetic.
     """
 
+    _over_cap_text = "subring order {order} above the cap {cap}"
+
     def __init__(self, parent: ProductRing, members: frozenset[Element]):
         self.parent = parent
         self.spec = parent.spec
@@ -608,10 +621,7 @@ class Subring(FiniteRing):
         return self.parent
 
     def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
-        if cap is not None and self.order > cap:
-            raise CapExceededError(
-                f"subring order {self.order} above the cap {cap}", f"element cap {cap}"
-            )
+        self._check_order_cap(cap)
         return self._element_cache
 
     def contains(self, x: Element) -> bool:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from iagraph.graphs import Graph, build_ia, build_ia_domain_product, zn_symbolic_from_n
+from iagraph.graphs import Graph, build_ia, build_ia_domain_product, build_torsion, zn_symbolic_from_n
 from iagraph.invariants import (
     InvariantReport,
     diameter,
@@ -359,11 +359,51 @@ def matrix_graph(adj):
     return Graph([str(i) for i in range(len(adj))], adj)
 
 
+def blow_up(rng, base, sizes):
+    """Each vertex of base replaced by a clique of true twins of its size, the
+    vertices shuffled so that no class is contiguous."""
+    cls = np.repeat(np.arange(len(base)), sizes)
+    adj = (base | np.eye(len(base), dtype=bool))[np.ix_(cls, cls)]
+    np.fill_diagonal(adj, False)
+    perm = rng.permutation(len(cls))
+    return adj[np.ix_(perm, perm)]
+
+
+def split_sizes(rng, k, total):
+    """k positive sizes summing to total."""
+    cuts = np.sort(rng.choice(np.arange(1, total), k - 1, replace=False))
+    return np.diff(np.concatenate(([0], cuts, [total])))
+
+
+def twin_quotient_graphs(rng):
+    """Graphs for the twin quotient of diameter: blow-ups of random graphs on 1-8
+    vertices, with class sizes 1-8 and with totals just around the threshold;
+    complete graphs around it (one class); disconnected blow-ups; and graphs
+    above it with no twins at all."""
+    t = invariants_module._TWIN_QUOTIENT_MIN_VERTICES
+    adjs = []
+    for k in range(1, 9):
+        for density in (0.3, 0.6):
+            base = random_adjacency(rng, k, density)
+            adjs.append(blow_up(rng, base, rng.integers(1, 9, k)))
+            for total in (t - 1, t, t + 1, t + 2):
+                adjs.append(blow_up(rng, base, split_sizes(rng, k, total)))
+    adjs += [complete_graph(n).adj for n in (t - 1, t, t + 1, t + 7)]
+    for k, total in ((2, t + 3), (5, t + 10), (8, 2 * t)):
+        base = disjoint_union(random_adjacency(rng, k // 2, 0.8), random_adjacency(rng, k - k // 2, 0.8))
+        adjs.append(blow_up(rng, base, split_sizes(rng, k, total)))
+    twin_free = [cycle_graph(t + 1).adj, path_graph(t + 9).adj, random_adjacency(rng, t + 5, 0.5)]
+    for adj in twin_free:
+        closed = adj | np.eye(len(adj), dtype=bool)
+        assert len(adj) > t and len({row.tobytes() for row in closed}) == len(adj)
+    return [matrix_graph(adj) for adj in adjs + twin_free]
+
+
 @pytest.fixture(scope="module")
 def kernel_population():
     """Random graphs on sizes around the 64-bit word boundary, disconnected
-    unions, edgeless graphs and long paths, with their oracle diameter and
-    (up to 30 vertices) girth."""
+    unions, edgeless graphs, long paths and the twin-quotient graphs, with
+    their oracle diameter and (up to 30 vertices) girth."""
     rng = np.random.default_rng(7)
     graphs = []
     for n in (2, 3, 7, 63, 64, 65, 130):
@@ -373,6 +413,7 @@ def kernel_population():
         graphs.append(matrix_graph(disjoint_union(random_adjacency(rng, n, 0.5), random_adjacency(rng, m, 0.3))))
     graphs += [Graph([str(i) for i in range(n)], []) for n in (2, 5, 66)]
     graphs += [path_graph(n) for n in (65, 140)]
+    graphs += twin_quotient_graphs(rng)
     return [
         (g, floyd_warshall_diameter(g), enumerated_girth(g) if g.vertex_count <= 30 else None)
         for g in graphs
@@ -434,6 +475,22 @@ def test_matrix_invariants_match_oracles(block_bytes, monkeypatch, kernel_popula
     assert [diameter(path_graph(n)) for n in range(2, 41)] == list(range(1, 40))
     assert [diameter(cycle_graph(n)) for n in range(3, 41)] == [n // 2 for n in range(3, 41)]
     assert girth(cycle_graph(70)) == 70
+
+
+def test_torsion_diameters_match_oracles(small_ring_ids):
+    """The torsion graphs of T3.torsion-diam, whose twin classes are large, against
+    Floyd-Warshall on the small rings and networkx on rings of order 100-300."""
+    for rid in small_ring_ids:
+        graph = build_torsion(product_ring(rid))
+        assert diameter(graph) == floyd_warshall_diameter(graph), rid
+    nx = pytest.importorskip("networkx")
+    for rid in ("Z2xZ64", "Z4xZ27", "Z210", "Z3xZ81", "Z16xZ16", "Z2xZ3xZ5xZ7"):
+        graph = build_torsion(product_ring(rid))
+        assert graph.vertex_count > invariants_module._TWIN_QUOTIENT_MIN_VERTICES, rid
+        ref = nx.Graph()
+        ref.add_nodes_from(range(graph.vertex_count))
+        ref.add_edges_from(graph.edges())
+        assert diameter(graph) == (nx.diameter(ref) if nx.is_connected(ref) else None), rid
 
 
 def test_complete_bipartite_matches_partition_search():

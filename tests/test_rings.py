@@ -121,8 +121,17 @@ def test_subring_members_must_live_in_parent():
 
 
 def test_format_element():
+    """The cached per-arity templates print what joining str() of each residue
+    does, for every arity, huge residues and any sequence type."""
     assert format_element((7,)) == "7"
     assert format_element((2, 0)) == "(2,0)"
+    rng = random.Random(4)
+    for arity in range(2, 7):
+        for _ in range(50):
+            x = tuple(rng.choice([0, 1, rng.randrange(10**15)]) for _ in range(arity))
+            expected = "(" + ",".join(str(a) for a in x) + ")"
+            assert format_element(x) == format_element(list(x)) == expected
+    assert format_element((10**30,)) == str(10**30)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +745,11 @@ def loop_subring_members(ring, gens):
     return members
 
 
-def test_generated_subring_is_the_ring_exactly_when_it_fills_it():
+def test_generated_subring_is_the_ring_exactly_when_it_fills_it(monkeypatch):
     """The ring object itself when the loop closure is all of R, and a closed
-    Subring of the loop's members otherwise: every generator pair of small rings."""
+    Subring of the loop's members otherwise: every generator pair of small rings.
+    Zero-divisor generators whose first triangular basis already spans R take
+    one triangulation and no product round."""
     for rid in ("Z8", "Z12", "Z2xZ2", "Z2xZ4", "Z4xZ4", "Z2xZ3xZ5", "Z2xZ2xZ4", "Z2xZ4xZ4"):
         ring = product_ring(rid)
         for x, y in combinations_with_replacement(ring.elements(), 2):
@@ -748,6 +759,15 @@ def test_generated_subring_is_the_ring_exactly_when_it_fills_it():
             if sub is not ring:
                 assert isinstance(sub, Subring) and sub.members == members, (rid, x, y)
                 sub.validate_closure()
+    ring = product_ring("Z2xZ3xZ5")
+    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert len(loop_subring_members(ring, gens)) == ring.order
+    calls = []
+    monkeypatch.setattr(
+        iagraph.rings, "_triangular", lambda rows, mods: calls.append(1) or _triangular(rows, mods)
+    )
+    assert ring.subring_generated(gens) is ring
+    assert len(calls) == 1
 
 
 def loop_is_closed(mods, members):
@@ -895,6 +915,21 @@ def test_element_cap_enforced():
     with pytest.raises(CapExceededError):
         ring.zero_divisor_set()
     assert len(ring.elements(cap=None)) == 7000
+
+
+def test_subring_generation_checks_the_cap_without_listing_elements():
+    """The lattice path reads no element, so an uncapped call lists none; a capped
+    one raises each ring type's own element-cap error."""
+    ring = product_ring("Z300xZ300")
+    sub = ring.subring_generated([(150, 0)], cap=None)
+    assert ring._element_cache is None
+    assert sub.members == {(0, 0), (150, 0)}
+    with pytest.raises(CapExceededError, match=r"^Z300xZ300 has order 90000, above the cap 5000$"):
+        ring.subring_generated([(150, 0)])
+    big = ring.subring_generated([(1, 0)], cap=None)
+    with pytest.raises(CapExceededError, match=r"^subring order 300 above the cap 299$") as info:
+        big.subring_generated([(1, 0)], cap=299)
+    assert info.value.rule == "element cap 299"
 
 
 def test_cap_override():
