@@ -40,8 +40,9 @@ that owns it:
 The two modes differ only in their self-check: in brute mode the first ring
 of each signature within the element cap is cross-checked, its cached
 report against the invariants of its brute-force graph and its closed forms
-against the engine's scans; a zn-symbolic sweep rebuilds the divisor graph
-of every n divisible by 199.  A mismatch raises ``SelfCheckError``.
+against the engine's scans; at every n divisible by 199 a zn-symbolic sweep
+compares the sieve's signature of n with trial division and rebuilds the
+divisor graph.  A mismatch raises ``SelfCheckError``.
 
 Sweeps enumerate ring families deterministically and key each ring by its
 shape: the signature of each factor, in factor order, or the signature
@@ -50,9 +51,14 @@ those per-factor signatures, so their applicability follows the shape.  A
 later ring reuses its shape's first report whole, or not at all: only when
 no selected check reads the ring's elements or gcd form, and none of the
 first ring's checks failed or was skipped, since failures and skips name
-their ring.  Any other sweep checks every ring on the full selection.  The
-199 rebuild runs on every ring, and the counts are aggregated in ring
-order; every failure keeps its witness.
+their ring.  Any other sweep checks every ring on the full selection.
+
+A sweep tallies by shape: a shape's clean first report is counted once,
+times the shape's ring count, and a ring that reuses it is not visited at
+all, except for the 199 rebuild or when a report sink takes one report per
+ring (a copy of its shape's).  Every other report is counted per ring, in
+ring order, so every failure keeps its witness and the first self-check
+error in ring order is the one raised.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +189,14 @@ class CheckStats:
                 self.failed += 1
                 self.failures.append({"ring": ring, "witness": check.witness})
 
+    def absorb_clean(self, check: TheoremCheck, count: int) -> None:
+        """count rings with the same outcome, a pass or an inapplicable check."""
+        if check.applicable:
+            self.applicable += count
+            self.passed += count
+        else:
+            self.inapplicable += count
+
     def to_json_dict(self) -> dict:
         return {
             "applicable": self.applicable,
@@ -298,12 +312,14 @@ class _RingContext:
     built the first time a check or a witness reads it; either way its
     elements(cap) bounds every element scan."""
 
-    def __init__(self, factors: tuple[int, ...], caps: Caps, ring: ProductRing | None = None):
+    def __init__(
+        self, factors: tuple[int, ...], caps: Caps, ring: ProductRing | None = None, signature=None
+    ):
         self.start_ns = time.perf_counter_ns()
         self.factors = factors
         self.caps = caps
-        self.signature = sig = _signature(factors)
-        self.factor_signatures = _factor_signatures(factors)
+        self.signature = sig = _signature(factors) if signature is None else signature
+        self.factor_signatures = (sig,) if len(factors) == 1 else _factor_signatures(factors)
         self.z_ideal = len(sig) == 1
         self.ring_id = "x".join([f"Z{n}" for n in factors])
         if ring is not None:
@@ -730,10 +746,12 @@ def check_ring(ring, checks="all", caps: Caps | None = None) -> RingReport:
     return _run_checks(ctx, ids)
 
 
-def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None) -> RingReport:
+def check_zn_symbolic(n: int, checks="all", caps: Caps | None = None, signature=None) -> RingReport:
     """Run the selected checks on Z_n in symbolic mode: the report of check_ring
-    on Z_n, without its cross-check."""
-    return _run_checks(_RingContext((n,), caps or Caps()), resolve_check_ids(checks))
+    on Z_n, without its cross-check.  A sweep passes the sieve's signature of n;
+    without one, n is factorized."""
+    ctx = _RingContext((n,), caps or Caps(), signature=signature)
+    return _run_checks(ctx, resolve_check_ids(checks))
 
 
 def symbolic_invariants(n: int, caps: Caps) -> InvariantReport:
@@ -861,89 +879,168 @@ def _zn_signatures(max_n: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
 _FACTOR_CHECKS = frozenset(cid for cid in CHECK_IDS if cid.startswith("T5.")) | {"L4.three-primes"}
 
 
-def _sweep_entries(config: SweepConfig):
-    """(ring id, n or spec, shape) per ring, in sweep order; the shape of Z_n is
-    the sieve's signature id."""
+@dataclass
+class _SweepRings:
+    """A sweep's rings in sweep order: ring i is items[i] (n for the zn families, a
+    RingSpec otherwise) and has shape id shapes[i], and counts[s] rings have shape
+    s.  For the zn families the shape id is the sieve's signature id of n and
+    sigs[s] is that signature."""
+
+    items: range | list
+    shapes: np.ndarray
+    counts: list[int]
+    sigs: list | None = None
+
+    def ring_ids(self, lo: int, hi: int):
+        if self.sigs is None:
+            return [spec.ring_id() for spec in self.items[lo:hi]]
+        return map("Z{}".format, self.items[lo:hi])
+
+
+def _sweep_rings(config: SweepConfig) -> _SweepRings:
     if config.family in ("zn", "zn-symbolic"):
-        ids, _ = _zn_signatures(config.max_n)
-        moduli = range(2, config.max_n + 1)
-        items = moduli if config.family == "zn-symbolic" else map(RingSpec, zip(moduli))
-        return zip(map("Z{}".format, moduli), items, ids[2:].tolist())
+        ids, sigs = _zn_signatures(config.max_n)
+        counts = np.bincount(ids[2:], minlength=len(sigs)).tolist()
+        return _SweepRings(range(2, config.max_n + 1), ids[2:], counts, sigs)
     if config.family == "products":
         specs = enumerate_product_specs(config.max_n, config.max_factors)
     else:
         primes = _first_primes(config.max_n)
         specs = [RingSpec(tuple(primes[:k])) for k in range(2, config.max_n + 1)]
-    if _FACTOR_CHECKS.isdisjoint(config.checks):  # the signature decides every check selected
-        return [(s.ring_id(), s, _signature(s.factors)) for s in specs]
-    return [(s.ring_id(), s, _factor_signatures(s.factors)) for s in specs]
+    # the signature decides every check selected, unless one reads the factors
+    key = _signature if _FACTOR_CHECKS.isdisjoint(config.checks) else _factor_signatures
+    index: dict[tuple, int] = {}
+    shapes = np.array([index.setdefault(key(s.factors), len(index)) for s in specs], dtype=np.int32)
+    return _SweepRings(specs, shapes, np.bincount(shapes, minlength=len(index)).tolist())
+
+
+def _clean(checks) -> bool:
+    """No check failed or was skipped, so the report names no ring: its shape reuses it."""
+    return not any(c.skipped or c.failed for c in checks)
+
+
+_BLOCK = 1 << 14  # rings per scan for the rings that need work, and per pool task at most
 
 
 class _ShapeSweep:
-    """Evaluates the rings of one sweep, reusing shape reports (see the module notes).
-    The memo lives as long as this object: one sweep, or one worker of its pool."""
+    """Evaluates the rings of one sweep that need work (see the module notes).  Its
+    state lives as long as this object: one sweep, or one worker of its pool."""
 
-    def __init__(self, config: SweepConfig):
-        self.checks, self.caps = config.checks, config.caps
+    def __init__(self, config: SweepConfig, rings: _SweepRings):
+        self.config, self.rings = config, rings
         self.symbolic = config.family == "zn-symbolic"
-        self.check = partial(check_zn_symbolic if self.symbolic else check_ring, caps=config.caps)
-        self.reuse = _PER_RING_CHECKS.isdisjoint(config.checks)
-        self.memo: dict[object, list] = {}  # shape -> a copy of its first report's checks
+        self.seen = np.zeros(len(rings.counts), dtype=bool)
+        # the shapes whose every ring is evaluated: all of them with a per-ring check
+        per_ring = not _PER_RING_CHECKS.isdisjoint(config.checks)
+        self.per_ring = np.full(len(rings.counts), per_ring)
 
-    def __call__(self, entry) -> RingReport:
-        ring_id, item, shape = entry
-        checks = self.memo.get(shape)
-        if checks is not None:
-            report = RingReport(ring_id, list(checks))
-        else:
-            report = self.check(item, self.checks)
-            if self.reuse and not any(c.skipped or c.failed for c in report.checks):
-                self.memo[shape] = list(report.checks)
-        if self.symbolic and item % 199 == 0:  # periodic cache validation: rebuild and compare
-            with contextlib.suppress(CapExceededError):  # over the graph cap: nothing cached
-                fresh = invariants(zn_symbolic_from_n(item, self.caps.graph))
-                if fresh != symbolic_invariants(item, self.caps):
-                    raise SelfCheckError(f"symbolic cache mismatch at n={item}")
-        return report
+    def visit(self, lo: int, hi: int):
+        """(i, report) for each ring i in [lo, hi) that is evaluated, in ring order.
+        A shape whose first report here is not clean makes its later rings need
+        work: the scan restarts after that ring."""
+        while lo < hi:
+            end = min(lo + _BLOCK, hi)
+            for i, shape in self._needed(lo, end):
+                if self.symbolic and (i + 2) % 199 == 0:
+                    self._rebuild(i + 2, shape)
+                if self.seen[shape] and not self.per_ring[shape]:
+                    continue  # a reused report: only the rebuild was due
+                report = self._evaluate(i, shape)
+                yield i, report
+                if not self.seen[shape]:
+                    self.seen[shape] = True
+                    if not (self.per_ring[shape] or _clean(report.checks)):
+                        self.per_ring[shape] = True
+                        end = i + 1
+                        break
+            lo = end
+
+    def _needed(self, lo: int, hi: int):
+        """(i, shape) for each ring i in [lo, hi) that needs work as things stand:
+        its shape's every ring is evaluated, it is the first ring of a shape not
+        seen yet, or (zn-symbolic) n = i + 2 is divisible by 199."""
+        shapes = self.rings.shapes[lo:hi]
+        need = self.per_ring[shapes]
+        unseen = np.flatnonzero(~self.seen[shapes])
+        need[unseen[np.unique(shapes[unseen], return_index=True)[1]]] = True
+        if self.symbolic:
+            need[-(lo + 2) % 199 :: 199] = True
+        at = np.flatnonzero(need)
+        return zip((lo + at).tolist(), shapes[at].tolist())
+
+    def _evaluate(self, i: int, shape: int) -> RingReport:
+        item, checks, caps = self.rings.items[i], self.config.checks, self.config.caps
+        if self.symbolic:  # the sieve's signature, not trial division
+            return check_zn_symbolic(item, checks, caps, signature=self.rings.sigs[shape])
+        return check_ring(item if isinstance(item, RingSpec) else RingSpec((item,)), checks, caps)
+
+    def _rebuild(self, n: int, shape: int) -> None:
+        """The periodic self-check: the sieve's signature of n against trial
+        division, and the cached report against a rebuilt divisor graph."""
+        if self.rings.sigs[shape] != _signature((n,)):
+            raise SelfCheckError(f"symbolic sieve mismatch at n={n}")
+        with contextlib.suppress(CapExceededError):  # over the graph cap: nothing cached
+            fresh = invariants(zn_symbolic_from_n(n, self.config.caps.graph))
+            if fresh != symbolic_invariants(n, self.config.caps):
+                raise SelfCheckError(f"symbolic cache mismatch at n={n}")
 
 
 _WORKER_SWEEP: _ShapeSweep | None = None  # a pool worker's, started empty for its pool's sweep
 
 
-def _start_worker(config: SweepConfig) -> None:
+def _start_worker(config: SweepConfig, rings: _SweepRings) -> None:
     global _WORKER_SWEEP
-    _WORKER_SWEEP = _ShapeSweep(config)
+    _WORKER_SWEEP = _ShapeSweep(config, rings)
 
 
-def _run_in_worker(entry) -> RingReport:
-    return _WORKER_SWEEP(entry)
+def _run_in_worker(block: tuple[int, int]) -> list[tuple[int, RingReport]]:
+    return list(_WORKER_SWEEP.visit(*block))
 
 
 def sweep(config: SweepConfig, report_sink=None) -> SweepAggregate:
-    """Run the configured family, reusing shape reports; aggregate per-check outcomes
-    in ring order.  With jobs > 1 the reports stream back from a pool (imap)."""
-    entries = _sweep_entries(config)
+    """Run the configured family (see the module notes).  The clean first report of
+    a shape is counted once for all its rings; any other evaluated report is
+    aggregated in ring order.  A report_sink gets one report per ring in ring
+    order, a copy of its shape's report where the ring reuses it.  With jobs > 1
+    the evaluated reports stream back from a pool (imap) in blocks of rings."""
     start = time.perf_counter_ns()
+    rings = _sweep_rings(config)
+    total = len(rings.items)
     stats = {cid: CheckStats() for cid in config.checks}
+    absorbers = [stats[cid].absorb for cid in config.checks]  # report.checks come in this order
+    reuse = _PER_RING_CHECKS.isdisjoint(config.checks)
+    clean: dict[int, tuple[TheoremCheck, ...]] = {}  # shape -> checks of its clean first report
 
-    count = 0
     with contextlib.ExitStack() as stack:
         if config.jobs > 1:
             from multiprocessing import Pool
 
-            pool = stack.enter_context(Pool(config.jobs, _start_worker, (config,)))
-            reports = pool.imap(_run_in_worker, entries, chunksize=64)
+            pool = stack.enter_context(Pool(config.jobs, _start_worker, (config, rings)))
+            size = max(1, min(_BLOCK, total // (16 * config.jobs)))  # 16 tasks per worker or more
+            blocks = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+            evaluated = itertools.chain.from_iterable(pool.imap(_run_in_worker, blocks))
         else:
-            reports = map(_ShapeSweep(config), entries)
-        absorbers = [stats[cid].absorb for cid in config.checks]  # report.checks come in this order
-        for report in reports:
-            count += 1
-            ring = report.ring
-            for absorb, check in zip(absorbers, report.checks):
-                absorb(ring, check)
+            evaluated = _ShapeSweep(config, rings).visit(0, total)
+        done = 0  # the rings before done have gone to the sink
+        for i, report in itertools.chain(evaluated, [(total, None)]):
+            if report_sink is not None and i > done:  # the rings between reuse their shape's
+                for ring_id, shape in zip(rings.ring_ids(done, i), rings.shapes[done:i].tolist()):
+                    report_sink(RingReport(ring_id, list(clean[shape])))
+            done = i + 1
+            if report is None:
+                break
+            shape = int(rings.shapes[i])
+            if shape in clean:  # another worker's first ring of the shape: already counted
+                pass
+            elif reuse and _clean(report.checks):
+                clean[shape] = tuple(report.checks)
+            else:
+                for absorb, check in zip(absorbers, report.checks):
+                    absorb(report.ring, check)
             if report_sink is not None:
                 report_sink(report)
+    for shape, checks in clean.items():
+        for check in checks:
+            stats[check.id].absorb_clean(check, rings.counts[shape])
     elapsed = (time.perf_counter_ns() - start) // 1_000_000
-    return SweepAggregate(
-        family=config.family, ring_count=count, stats=stats, elapsed_ms=int(elapsed)
-    )
+    return SweepAggregate(config.family, total, stats, elapsed_ms=int(elapsed))

@@ -657,6 +657,28 @@ def test_symbolic_recheck_fires_on_reused_shapes(capsys, monkeypatch, checks):
     assert err == "error: symbolic cache mismatch at n=398\n"
 
 
+def test_symbolic_sieve_mismatch_exits_3(capsys, monkeypatch):
+    """The periodic recheck compares the sieve's signature of n with trial
+    division: a sieve that gives 398 = 2 * 199 the signature id of the prime 397
+    stops the sweep there, whether 398 is evaluated or reuses its shape."""
+    sieve = theorems._zn_signatures
+
+    def wrong_at_398(max_n):
+        ids, sigs = sieve(max_n)
+        ids[398] = ids[397]
+        return ids, sigs
+
+    monkeypatch.setattr(theorems, "_zn_signatures", wrong_at_398)
+    for checks in ("all", "T3.girth"):
+        for jobs in ("1", "2")[: os.cpu_count() or 1]:
+            code, out, err = run_cli(
+                capsys, "sweep", "--family", "zn-symbolic", "--max", "400",
+                "--checks", checks, "--jobs", jobs,
+            )
+            assert (code, out) == (3, ""), (checks, jobs)
+            assert err == "error: symbolic sieve mismatch at n=398\n"
+
+
 def test_signature_cache_mismatch_in_csv_sweep_exits_3(tmp_path, capsys, monkeypatch):
     """CSV rows are buffered while the sweep runs: a self-check failure leaves
     stdout empty and creates no --out file."""

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -709,6 +710,79 @@ def test_shape_sweep_matches_per_ring_reference(cold_signatures, config):
     cold_signatures._CROSS_CHECKED.clear()
     assert (_streamed(reports), aggregate) == _reference_sweep(config)
     assert len({id(r.checks) for r in reports}) == len(reports)  # no shared check lists
+
+
+@pytest.mark.parametrize("config", SHAPE_SWEEP_CASES, ids=lambda c: f"{c.family}-{c.max_n}")
+def test_sweep_without_a_sink_matches_per_ring_reference(cold_signatures, config):
+    """Without a sink a sweep visits only the rings that need work and counts the
+    others by their shape; its aggregate is still the per-ring reference's,
+    serially and from a pool."""
+    reference = None
+    for jobs in (1, 2)[: os.cpu_count() or 1]:
+        aggregate = sweep(dataclasses.replace(config, jobs=jobs)).to_json_dict()
+        aggregate["elapsed_ms"] = 0
+        if reference is None:
+            cold_signatures._SIGNATURE_CACHE.clear()
+            cold_signatures._CROSS_CHECKED.clear()
+            reference = _reference_sweep(config)[1]
+        assert aggregate == reference, jobs
+
+
+# The checks of the c05 sweep: every shape but the prime cubes' passes cleanly.
+C05_CHECKS = ("L4.three-primes", "T3.girth", "T2.no-Kmn", "T3.diam3", "T3.card2")
+
+
+def test_symbolic_sweep_tallies_reused_rings_by_shape(monkeypatch):
+    """To 3000 the c05 checks fail only on the prime cubes 8, 27, 125, 343, 1331
+    and 2197.  The sweep evaluates the first ring of each shape and every prime
+    cube, and counts every other ring by its shape: the absorb calls stay within
+    checks x (shapes + rings evaluated per ring), and a RingReport is built for
+    each evaluated ring, or for every ring when a sink takes them."""
+    config = SweepConfig(family="zn-symbolic", max_n=3000, checks=C05_CHECKS)
+    shapes = len({theorems._signature((n,)) for n in range(2, 3001)})
+    per_ring = 5  # the prime cubes after 8
+    calls = dict.fromkeys(("absorb", "report", "evaluated"), 0)
+    absorb, run_checks = CheckStats.absorb, theorems._run_checks
+
+    def counting_absorb(self, ring, check):
+        calls["absorb"] += 1
+        absorb(self, ring, check)
+
+    def counting_run_checks(ctx, ids):
+        calls["evaluated"] += 1
+        return run_checks(ctx, ids)
+
+    class CountingReport(theorems.RingReport):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            calls["report"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(CheckStats, "absorb", counting_absorb)
+    monkeypatch.setattr(theorems, "_run_checks", counting_run_checks)
+    monkeypatch.setattr(theorems, "RingReport", CountingReport)
+    for sink, reports in ((None, shapes + per_ring), (lambda report: None, 2999)):
+        calls.update(dict.fromkeys(calls, 0))
+        agg = sweep(config, sink)
+        assert agg.ring_count == 2999
+        assert len(agg.failures_for("L4.three-primes")) == 6
+        assert calls["evaluated"] == shapes + per_ring
+        assert calls["absorb"] <= len(C05_CHECKS) * (shapes + per_ring)
+        assert calls["report"] == reports
+
+
+def test_sweep_elapsed_ms_counts_the_enumeration(monkeypatch):
+    """The sweep's clock starts before the sieve or the product enumeration."""
+    sieve = theorems._zn_signatures
+
+    def slow_sieve(max_n):
+        time.sleep(0.05)
+        return sieve(max_n)
+
+    monkeypatch.setattr(theorems, "_zn_signatures", slow_sieve)
+    agg = sweep(SweepConfig(family="zn-symbolic", max_n=10, checks=("T3.girth",)))
+    assert agg.elapsed_ms >= 50
 
 
 def test_shape_sweep_reuses_a_copy_of_the_first_report(cold_signatures):
