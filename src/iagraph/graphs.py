@@ -36,6 +36,7 @@ from .rings import (
     FiniteRing,
     factorize,
     format_element,
+    format_elements,
     is_prime,
     shared_support,
 )
@@ -188,7 +189,7 @@ def build_torsion(
     """
     verts, keys = ring.nonzero_zero_divisors_with_keys(cap)
     check_graph_cap(len(verts), vertex_cap)
-    return _meet_graph(ring, [format_element(x) for x in verts], keys)
+    return _meet_graph(ring, format_elements(verts, ring.arity), keys)
 
 
 def build_total(
@@ -197,13 +198,13 @@ def build_total(
     vertex_cap: int = DEFAULT_GRAPH_VERTEX_CAP,
 ) -> Graph:
     """Total graph: all elements, x adjacent to y iff x + y is a zero-divisor."""
-    verts = list(ring.elements(cap))
+    verts = ring.elements(cap)
     check_graph_cap(len(verts), vertex_cap)
     adj = np.empty((len(verts), len(verts)), dtype=bool)
-    for start, block in ring.zero_divisor_sum_blocks(verts):
+    for start, block in ring.zero_divisor_sum_blocks(np.arange(len(verts))):
         adj[start : start + len(block)] = block
     np.fill_diagonal(adj, False)
-    return Graph([format_element(x) for x in verts], adj)
+    return Graph(format_elements(verts, ring.arity), adj)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,16 @@ brute-force engine on ``FiniteRing``:
 
 * ``_matrix``: the elements as a cached order x arity int64 matrix;
 * one mixed-radix code, sum of x_i * n_{i+1} * ... * n_k, for elements and
-  for op(a_i, b_j) over pairs.  Codes ascend with elements().  A ring whose
-  order passes the int64 range gets no codes: ``CapExceededError``, not a wrapped code;
-* zero-product rows for any list of elements, and the scan of x + y in
-  Z(R) over the pairs of one list, built in blocks of at most
-  ``_BLOCK_PAIRS`` pairs, so memory stays bounded and a scan stops at its
-  first hit.  The full order x order zero-product matrix is cached only
+  for op(a_i, b_j) over pairs.  Codes ascend with elements(), so a
+  ``ProductRing`` code is a position: ``_matrix`` is decoded from
+  arange(order) and Z(R) membership is a gather of the Z(R) mask (a subring
+  keeps ``np.isin``).  A sum code adds the two codes, less n s where the
+  residues reach n: no division.  A ring whose order passes the int64 range
+  gets no codes: ``CapExceededError``, not a wrapped code;
+* zero-product rows for any element rows, and the scan of x + y in Z(R)
+  over the pairs of a list of positions (never tuples), built in blocks of
+  at most ``_BLOCK_PAIRS`` pairs, so memory stays bounded and a scan stops
+  at its first hit.  The full order x order zero-product matrix is cached only
   where every row is needed, for the default Z(R) mask and class codes;
   ``annihilator_set`` always computes its element's own row;
 * generated subrings as lattices, outside the codes: a triangular integer
@@ -25,16 +29,19 @@ brute-force engine on ``FiniteRing``:
 * ``Subring.validate_closure``, one blocked ``np.isin`` scan of the + and *
   codes against the member codes, for direct callers and for a proper
   generated subring in T2.subring;
-* the annihilator classes of Z*(R), grouped once by a 1-D class code and
-  cached on the ring.
+* the annihilator classes of Z*(R), grouped by one stable argsort of a 1-D
+  class code that orders them by least member, cached on the ring with the
+  class index of each position and the representatives' zero-product rows.
 
 The Z(R) mask, the class code, opaque annihilator keys (also read by
 position as one array, for the torsion graph) and their meet matrix default
 to the zero-product matrix: a key is a position in elements(), whose row is
 the annihilator.  That serves any variant, since an annihilator need not be
 principal per coordinate; closed forms override the default.  Product rings
-use closed forms on the ``AnnKey`` g, g[i] = n_i // gcd(n_i, x_i): x is a
-zero-divisor iff some g[i] < n_i, and equal keys mean equal annihilators.
+use closed forms on the ``AnnKey`` g, g[i] = n_i // gcd(n_i, x_i), gathered
+per coordinate from a table over the residues: equal keys mean equal
+annihilators, the class code is the code of the least member (n_i // g[i]
+mod n_i), and x is a zero-divisor iff its class is not that of 1.
 ann(x) and ann(y) meet beyond 0 iff some prime p | n_i divides both
 n_i // g[i] and n_i // h[i], the CRT rule ``shared_support`` evaluates for
 the symbolic graphs too.  The brute-force rows are also the oracle the
@@ -53,8 +60,9 @@ import numpy as np
 
 DEFAULT_ELEMENT_CAP = 5000
 DEFAULT_PARSE_ORDER_CAP = 10**12
-_BLOCK_PAIRS = 4096  # most element pairs one engine block holds
+_BLOCK_PAIRS = 16384  # most element pairs one engine block holds
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_WHOLE_OUTER_MAX_ROWS = 256  # shared_support's switch, near where the two ways cost the same
 
 Element = tuple[int, ...]
 AnnKey = tuple[int, ...]
@@ -110,28 +118,40 @@ def is_prime(n: int) -> bool:
 def shared_support(support: np.ndarray) -> np.ndarray:
     """Boolean matrix: [i, j] iff rows i and j of support are true in a common
     column, the OR of the columns' outer products.  By CRT, with a column per
-    local prime, two classes of a product ring meet iff they share one."""
+    local prime, two classes of a product ring meet iff they share one.
+
+    Up to _WHOLE_OUTER_MAX_ROWS rows a column ORs in its whole outer product,
+    which costs the fewest numpy calls; above, only the rows the column selects."""
     meet = np.zeros((len(support), len(support)), dtype=bool)
+    whole = len(support) <= _WHOLE_OUTER_MAX_ROWS
     for column in support.T:
-        meet[column] |= column
+        if whole:
+            meet |= column[:, None] & column
+        else:
+            meet[np.flatnonzero(column)] |= column
     return meet
 
 
 def _triangular(rows, mods) -> list[list[int]]:
     """Upper-triangular basis of the lattice of Z^k spanned by rows and the n_i e_i.
 
-    Column c starts a pivot row at n_c e_c and runs Euclid between it and
-    every row reduced mod n, which leaves the rows zero on column c.  Euclid
-    on non-negative entries keeps them non-negative, so the pivot d_c is
-    positive and divides n_c; its later entries are reduced mod n_j."""
-    rows, basis = list(rows), []
+    The rows are reduced mod n.  Column c starts a pivot row at n_c e_c and
+    runs Euclid between it and every row nonzero on column c, which leaves
+    that row zero there; the row is reduced mod n again, and dropped if it is
+    zero.  Euclid on non-negative entries keeps them non-negative, so the
+    pivot d_c is positive and divides n_c; its later entries are reduced mod n_j."""
+    rows, basis = [[a % m for a, m in zip(r, mods)] for r in rows], []
     for c, n in enumerate(mods):
-        pivot = [n if j == c else 0 for j in range(len(mods))]
-        for i, r in enumerate(rows):
-            r = [a % m for a, m in zip(r, mods)]
-            while r[c]:
-                pivot, r = r, [a - pivot[c] // r[c] * b for a, b in zip(pivot, r)]
-            rows[i] = r
+        pivot, left = [n if j == c else 0 for j in range(len(mods))], []
+        for r in rows:
+            if r[c]:
+                while r[c]:
+                    q = pivot[c] // r[c]  # 0 makes the step a swap
+                    pivot, r = r, [a - q * b for a, b in zip(pivot, r)] if q else pivot
+                r = [a % m for a, m in zip(r, mods)]
+            if any(r):  # a zero row adds nothing to any later column
+                left.append(r)
+        rows = left
         basis.append([a if j == c else a % m for j, (a, m) in enumerate(zip(pivot, mods))])
     return basis
 
@@ -189,26 +209,31 @@ def parse_ring_spec(text: str, max_order: int = DEFAULT_PARSE_ORDER_CAP) -> Ring
     return spec
 
 
-_ELEMENT_TEMPLATES: dict[int, str] = {}  # arity -> "(%d,...,%d)"
+@lru_cache
+def _element_template(arity: int) -> str:
+    return "%d" if arity == 1 else "(" + ",".join(["%d"] * arity) + ")"
 
 
 def format_element(x: Element) -> str:
     """Serialize an element: plain decimal for rank 1, (a,b,...) otherwise."""
-    if len(x) == 1:
-        return str(x[0])
-    if len(x) not in _ELEMENT_TEMPLATES:
-        _ELEMENT_TEMPLATES[len(x)] = "(" + ",".join(["%d"] * len(x)) + ")"
-    return _ELEMENT_TEMPLATES[len(x)] % tuple(x)
+    return _element_template(len(x)) % tuple(x)
+
+
+def format_elements(xs, arity: int) -> list[str]:
+    """format_element of each element tuple of xs, all of the given arity."""
+    return list(map(_element_template(arity).__mod__, xs))
 
 
 # ---------------------------------------------------------------------------
 # rings
 
 
-def _blocks(count: int, width: int):
-    """Slices of range(count) whose rows hold at most _BLOCK_PAIRS pairs of `width` columns."""
+def _blocks(count: int, width: int, first: int | None = None):
+    """Slices of range(count) whose rows hold at most _BLOCK_PAIRS pairs of `width`
+    columns; the first slice holds at most `first` rows."""
     step = max(1, _BLOCK_PAIRS // max(1, width))
-    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+    bounds = [0, *range(min(first or step, step), count, step), count]
+    return map(slice, bounds, bounds[1:])
 
 
 class FiniteRing:
@@ -266,12 +291,12 @@ class FiniteRing:
 
     @cached_property
     def _class_codes(self) -> np.ndarray:
-        """Integers over elements(), equal on two zero-divisors iff their annihilators are."""
+        """Integers over elements(), equal on two nonzero zero-divisors iff their
+        annihilators are, and ascending with the least member of the class; 0, at
+        position 0 and in no class, gets -1.  Here an id per row, by first sight."""
         ids: dict[bytes, int] = {}
-        return np.array(
-            [ids.setdefault(row.tobytes(), len(ids)) for row in self._zero_product_matrix],
-            dtype=np.int64,
-        )
+        rows = self._zero_product_matrix[1:]
+        return np.array([-1] + [ids.setdefault(row.tobytes(), len(ids)) for row in rows])
 
     def ann_keys(self, xs) -> list:
         """Opaque annihilator keys of the elements xs, as ann_meet_matrix takes them:
@@ -301,19 +326,17 @@ class FiniteRing:
     @cached_property
     def _matrix(self) -> np.ndarray:
         """elements() as an order x arity int64 matrix; callers enforce the cap first."""
-        return self._as_matrix(self.elements(cap=None))
+        xs = self.elements(cap=None)
+        return np.array(xs, dtype=np.int64).reshape(len(xs), self.arity)
 
     @cached_property
     def _codes(self) -> np.ndarray:
         """Code of each element, ascending since elements() is sorted."""
         return self._matrix @ np.array(self._strides, dtype=np.int64)
 
-    @cached_property
-    def _zero_divisor_codes(self) -> np.ndarray:
-        return self._codes[self._zero_divisor_mask]
-
-    def _as_matrix(self, xs) -> np.ndarray:
-        return np.array(xs, dtype=np.int64).reshape(len(xs), self.arity)
+    def _in_zero_divisors(self, codes: np.ndarray) -> np.ndarray:
+        """Boolean array: which of these element codes are codes of Z(R)."""
+        return np.isin(codes, self._codes[self._zero_divisor_mask])
 
     @cached_property
     def _positions(self) -> dict[Element, int]:
@@ -328,7 +351,17 @@ class FiniteRing:
 
     def _pair_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Codes of op(a_i, b_j) for element rows a_i of a and b_j of b, whose
-        coordinates are residues 0 <= x < n; op is np.add or np.multiply."""
+        coordinates are residues 0 <= x < n; op is np.add or np.multiply.
+
+        A sum needs no division: code(a_i) + code(b_j) < 2^64 in uint64, less
+        n s on each coordinate where the residues reach n, since a + b < 2n."""
+        if op is np.add:
+            a, b = a.astype(np.uint64), b.astype(np.uint64)
+            strides = np.array(self._strides, dtype=np.uint64)
+            out = np.add.outer(a @ strides, b @ strides)
+            for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
+                out -= np.greater_equal.outer(a[:, c], np.uint64(n) - b[:, c]) * np.uint64(n * s)
+            return out.view(np.int64)
         out = np.zeros((len(a), len(b)), dtype=np.int64)
         residues = np.empty_like(out)
         for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
@@ -354,12 +387,13 @@ class FiniteRing:
         """Every zero-product row; only built where all of them are needed."""
         return self._zero_rows(self._matrix)
 
-    def zero_divisor_sum_blocks(self, xs):
-        """Yield (start, block) with block[i, j] true iff xs[start + i] + xs[j] is in Z(R)."""
-        a = self._as_matrix(xs)
-        for rows in _blocks(len(a), len(a)):
-            sums = self._pair_codes(np.add, a[rows], a)
-            yield rows.start, np.isin(sums, self._zero_divisor_codes)
+    def zero_divisor_sum_blocks(self, at: np.ndarray, first: int | None = None):
+        """Yield (start, block) with block[i, j] true iff x + y is in Z(R), for x and y
+        the elements at positions at[start + i] and at[j] of elements(); the first
+        block holds at most `first` rows."""
+        a = self._matrix[at]
+        for rows in _blocks(len(a), len(a), first):
+            yield rows.start, self._in_zero_divisors(self._pair_codes(np.add, a[rows], a))
 
     # --- shared derived operations ---------------------------------------
     @property
@@ -377,13 +411,10 @@ class FiniteRing:
     def is_zero_divisor(self, x: Element) -> bool:
         return bool(self._zero_divisor_mask[self._index(x)])
 
-    def _zero_divisors(self, cap: int | None) -> list[Element]:
-        elems = self.elements(cap)
-        return [elems[i] for i in np.flatnonzero(self._zero_divisor_mask)]
-
     def zero_divisor_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """Z(R), with 0 included by convention."""
-        return set(self._zero_divisors(cap))
+        elems = self.elements(cap)
+        return set(map(elems.__getitem__, np.flatnonzero(self._zero_divisor_mask).tolist()))
 
     def nonzero_zero_divisors_with_keys(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
@@ -391,7 +422,7 @@ class FiniteRing:
         """Z*(R) in ascending order, and their annihilator keys as one array."""
         elems = self.elements(cap)
         at = np.flatnonzero(self._zero_divisor_mask)[1:]  # elements()[0] is 0
-        return [elems[i] for i in at], self._ann_keys_at(at)
+        return list(map(elems.__getitem__, at.tolist())), self._ann_keys_at(at)
 
     def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """ann(x), its own row of the zero-product matrix, computed alone."""
@@ -410,27 +441,42 @@ class FiniteRing:
         ring multiplication and additive inverses, so closure under + is
         equivalent to being an ideal.  The first hit of the full square already
         has x <= y: a hit (y, x) with x < y would come after the hit (x, y).
+        The first block is the rows of 0 and of the least nonzero zero-divisor
+        alone: 0 has no hit, and outside a local ring that next row mostly has one.
         """
-        zs = self._zero_divisors(cap)
-        for start, block in self.zero_divisor_sum_blocks(zs):
-            outside = ~block
-            if outside.any():
-                i, j = divmod(int(outside.argmax()), len(zs))
-                return zs[start + i], zs[j]
+        elems = self.elements(cap)
+        zs = np.flatnonzero(self._zero_divisor_mask)
+        for start, block in self.zero_divisor_sum_blocks(zs, first=2):
+            if not block.all():
+                i, j = divmod(int(block.argmin()), len(zs))
+                return elems[zs[start + i]], elems[zs[j]]
         return None
+
+    @cached_property
+    def _class_order(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Z*(R) by position in elements(), in class order (classes by least member,
+        members ascending), the class index of each, and where each class starts."""
+        members = np.flatnonzero(self._zero_divisor_mask)[1:]  # elements()[0] is 0
+        codes = self._class_codes[members]
+        by_class = np.argsort(codes, kind="stable")
+        starts = np.diff(codes[by_class], prepend=-1) != 0
+        return members[by_class], np.cumsum(starts) - 1, np.flatnonzero(starts).tolist()
+
+    def class_positions(
+        self, cap: int | None = DEFAULT_ELEMENT_CAP
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The members of annihilator_classes(cap), in order, as positions in
+        elements(), and the index of the class of each."""
+        self.elements(cap)
+        return self._class_order[:2]
 
     @cached_property
     def _classes(self) -> list[tuple[object, list[Element]]]:
         elems = self.elements(cap=None)
-        members = np.flatnonzero(self._zero_divisor_mask)[1:]  # elements()[0] is 0
-        if not len(members):
-            return []
-        codes = self._class_codes[members]
-        by_code = np.argsort(codes, kind="stable")
-        groups = np.split(members[by_code], np.flatnonzero(np.diff(codes[by_code])) + 1)
-        groups.sort(key=lambda g: g[0])
-        keys = self.ann_keys([elems[g[0]] for g in groups])
-        return [(key, [elems[i] for i in g]) for key, g in zip(keys, groups)]
+        at, _, starts = self._class_order
+        members = list(map(elems.__getitem__, at.tolist()))
+        groups = [members[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(members)])]
+        return list(zip(self.ann_keys([g[0] for g in groups]), groups))
 
     def annihilator_classes(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
@@ -440,19 +486,22 @@ class FiniteRing:
         self.elements(cap)
         return self._classes
 
-    def _representative_rows(self, cap: int | None) -> tuple[list[Element], np.ndarray]:
-        """Class representatives and their zero-product rows.  ann is constant on a
-        class, so these rows stand for every nonzero zero-divisor."""
-        reps = [members[0] for _, members in self.annihilator_classes(cap)]
-        return reps, self._zero_rows(self._as_matrix(reps))
+    @cached_property
+    def _representative_rows(self) -> tuple[list[Element], np.ndarray]:
+        """Class representatives and their zero-product rows, built once per ring;
+        callers enforce the cap first.  ann is constant on a class, so these rows
+        stand for every nonzero zero-divisor."""
+        at, _, starts = self._class_order
+        reps = [members[0] for _, members in self._classes]
+        return reps, self._zero_rows(self._matrix[at[starts]])
 
     def common_annihilator_of_zero_divisors(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
     ) -> set[Element]:
         """{r in R : r.z = 0 for all z in Z(R)}; ann(0) = R adds no condition."""
         elems = self.elements(cap)
-        _, rows = self._representative_rows(cap)
-        return {elems[j] for j in np.flatnonzero(rows.all(axis=0))}
+        _, rows = self._representative_rows
+        return set(map(elems.__getitem__, np.flatnonzero(rows.all(axis=0)).tolist()))
 
     def subring_generated(self, gens, cap: int | None = DEFAULT_ELEMENT_CAP) -> "FiniteRing":
         """Least subset containing gens closed under +, *, -: this ring itself
@@ -497,7 +546,8 @@ class FiniteRing:
         annihilator is the whole nonzero annihilator), so it suffices to
         scan pairs of distinct annihilator classes, first pair first.
         """
-        reps, rows = self._representative_rows(cap)
+        self.elements(cap)
+        reps, rows = self._representative_rows
         sizes = rows.sum(axis=1)
         sized = np.triu(np.multiply.outer(sizes, sizes) == self.order, 1)
         for i, j in np.argwhere(sized):
@@ -556,24 +606,41 @@ class ProductRing(FiniteRing):
             )
         return set(cartesian(*[range(0, n, g) for g, n in zip(key, self.spec.factors)]))
 
-    @cached_property
-    def _key_matrix(self) -> np.ndarray:
-        """annihilator_key of every element, one row each."""
-        mods = np.array(self.spec.factors, dtype=np.int64)
-        return mods // np.gcd(self._matrix, mods)
+    # --- the engine on positions: an element's code is its position in elements()
+    def _rows_of(self, codes: np.ndarray) -> np.ndarray:
+        """Element rows of these codes: coordinate i is code // s_i mod n_i."""
+        strides, mods = (np.array(v, dtype=np.int64) for v in (self._strides, self.spec.factors))
+        return codes[:, None] // strides % mods
 
     @cached_property
-    def _zero_divisor_mask(self) -> np.ndarray:
-        return (self._key_matrix < np.array(self.spec.factors, dtype=np.int64)).any(axis=1)
+    def _matrix(self) -> np.ndarray:
+        return self._rows_of(np.arange(self.order, dtype=np.int64))
+
+    def _in_zero_divisors(self, codes: np.ndarray) -> np.ndarray:
+        return self._zero_divisor_mask[codes]
+
+    @cached_property
+    def _key_matrix(self) -> np.ndarray:
+        """annihilator_key of every element, one row each, gathered per coordinate
+        from the table of n // gcd(a, n) over the residues a."""
+        keys = np.empty_like(self._matrix)
+        for c, n in enumerate(self.spec.factors):
+            keys[:, c] = (n // np.gcd(np.arange(n, dtype=np.int64), n))[self._matrix[:, c]]
+        return keys
 
     @cached_property
     def _class_codes(self) -> np.ndarray:
-        # each key entry g lies in 1..n, so g - 1 is a coordinate and gets a code
-        return (self._key_matrix - 1) @ np.array(self._strides, dtype=np.int64)
+        # the code of the least member of the class: gcd(x_i, n_i) mod n_i on each coordinate
+        mods = np.array(self.spec.factors, dtype=np.int64)
+        return mods // self._key_matrix % mods @ np.array(self._strides, dtype=np.int64)
+
+    @cached_property
+    def _zero_divisor_mask(self) -> np.ndarray:
+        return self._class_codes != sum(self._strides)  # the class of 1 is the units
 
     def ann_keys(self, xs) -> list[AnnKey]:
-        gcd, mods = math.gcd, self.spec.factors
-        return [tuple(n // gcd(a, n) for a, n in zip(x, mods)) for x in xs]
+        gcd, columns = math.gcd, zip(zip(*xs), self.spec.factors)
+        return list(zip(*[[n // gcd(a, n) for a in col] for col, n in columns]))
 
     def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
         return self._key_matrix[positions]
@@ -582,12 +649,9 @@ class ProductRing(FiniteRing):
         """In Z_n, ann(x) meets ann(y) in (lcm(g, h)), nonzero iff a prime p | n divides
         both n // g = gcd(n, x) and n // h: one support column per coordinate and p."""
         keys = np.array(keys, dtype=np.int64).reshape(len(keys), self.arity)
-        columns = [
-            (n // keys[:, c]) % p == 0
-            for c, n in enumerate(self.spec.factors)
-            for p, _ in factorize(n)
-        ]
-        return shared_support(np.stack(columns, axis=1))
+        columns = [(c, n, p) for c, n in enumerate(self.spec.factors) for p, _ in factorize(n)]
+        c, n, p = np.array(columns).T
+        return shared_support(n // keys[:, c] % p == 0)
 
 
 class Subring(FiniteRing):

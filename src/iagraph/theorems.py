@@ -462,23 +462,23 @@ def _check_no_kmn(ctx: _RingContext):
 def _check_embed(ctx: _RingContext):
     """Every compressed edge lifts to total-graph adjacency for all member pairs.
 
-    One sum scan of Z*(R) x Z*(R) in class order, 40 KB at the default total
-    cap.  A hit is a sum outside Z(R) on an edge (i, j), i < j; one sort finds
-    the least (i, j, position of x, position of y), the first hit of the loop
-    over edges() and the members of each class."""
-    raw = ctx.ring.annihilator_classes(ctx.caps.element)
+    One sum scan of Z*(R) x Z*(R) by position in elements(), in class order,
+    40 KB at the default total cap; the class index of each position picks the
+    pairs on compressed edges.  A hit is a sum outside Z(R) on an edge (i, j),
+    i < j; one sort finds the least (i, j, place of x, place of y) in class
+    order, the first hit of the loop over edges() and the members of each class."""
+    at, cls = ctx.ring.class_positions(ctx.caps.element)
     if not ctx.ia.edge_count:
         return "no edges (vacuous)"
-    on_edge = np.triu(ctx.ia.adj, 1)
-    members = [x for _, xs in raw for x in xs]
-    cls = np.repeat(np.arange(len(raw)), [len(xs) for _, xs in raw])
-    sums = np.concatenate([block for _, block in ctx.ring.zero_divisor_sum_blocks(members)])
-    p, q = np.nonzero(on_edge[np.ix_(cls, cls)] & ~sums)
-    if not len(p):
+    sums = np.concatenate([block for _, block in ctx.ring.zero_divisor_sum_blocks(at)])
+    hits = np.triu(ctx.ia.adj, 1)[cls][:, cls] > sums  # on an edge, sum outside Z(R)
+    if not hits.any():
         return None
+    p, q = np.nonzero(hits)
     first = np.lexsort((q, p, cls[q], cls[p]))[0]
     i, j = int(cls[p[first]]), int(cls[q[first]])
-    x, y = members[p[first]], members[q[first]]
+    elems = ctx.ring.elements(cap=None)
+    x, y = elems[at[p[first]]], elems[at[q[first]]]
     return {
         "edge": [ctx.ia.labels[i], ctx.ia.labels[j]],
         "members": [format_element(x), format_element(y)],

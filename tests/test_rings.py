@@ -17,6 +17,7 @@ from iagraph.graphs import build_torsion, build_total
 from iagraph.rings import (
     DEFAULT_ELEMENT_CAP,
     CapExceededError,
+    FiniteRing,
     ProductRing,
     RingSpec,
     RingSpecError,
@@ -589,19 +590,29 @@ def test_element_codes_past_int64_are_refused():
     ]
 
 
+_EDGE = math.isqrt(int(np.iinfo(np.int64).max)) + 1  # the least modulus whose products leave int64
+# moduli on both sides of that switch, and an order of 2**63, whose codes fill int64 and
+# whose code sums pass it
+INT64_EDGE_MODULI = ((_EDGE,), (_EDGE + 1,), (_EDGE, 3), (5, _EDGE + 1), (2**62, 2))
+
+
+def _edge_rows(mods, rng):
+    """Sampled element rows of a ring of these moduli: 0, 1, n // 2, n - 2, n - 1
+    and 4 random residues per coordinate, all their combinations."""
+    picks = [{0, 1, n // 2, n - 2, n - 1} | {rng.randrange(n) for _ in range(4)} for n in mods]
+    return np.array(list(cartesian(*map(sorted, picks))), dtype=np.int64)
+
+
 def test_pair_codes_match_python_ints():
     """+ and * codes against Python ints: every residue pair of small rings,
     and sampled residues, 0 and n - 1 among them, for moduli on both sides of
-    the switch to Python ints at (n - 1)**2 > INT64_MAX."""
-    edge = math.isqrt(int(np.iinfo(np.int64).max)) + 1  # the largest int64-side modulus
-    assert (edge - 1) ** 2 <= np.iinfo(np.int64).max < edge**2
+    the switch to Python ints at (n - 1)**2 > INT64_MAX and for an order of 2**63."""
+    assert (_EDGE - 1) ** 2 <= np.iinfo(np.int64).max < _EDGE**2
     rng = random.Random(5)
     cases = [product_ring(rid) for rid in ("Z2", "Z3", "Z7", "Z12", "Z2xZ2", "Z4xZ6", "Z2xZ3xZ5")]
     cases = [(ring, ring._matrix) for ring in cases]
-    for mods in ((edge,), (edge + 1,), (edge, 3), (5, edge + 1)):
-        picks = [{0, 1, n // 2, n - 2, n - 1} | {rng.randrange(n) for _ in range(4)} for n in mods]
-        rows = np.array(list(cartesian(*map(sorted, picks))), dtype=np.int64)
-        cases.append((ProductRing(RingSpec(mods)), rows))
+    for mods in INT64_EDGE_MODULI:
+        cases.append((ProductRing(RingSpec(mods)), _edge_rows(mods, rng)))
     for ring, rows in cases:
         mods, strides, elems = ring.spec.factors, ring._strides, rows.tolist()
         for op, py_op in ((np.add, operator.add), (np.multiply, operator.mul)):
@@ -610,6 +621,34 @@ def test_pair_codes_match_python_ints():
                 for a in elems
             ]
             assert ring._pair_codes(op, rows, rows).tolist() == expected, (ring, op)
+
+
+def test_position_engine_matches_element_tuples(small_ring_ids):
+    """A ProductRing code is a position in elements(): the matrix decoded from
+    arange(order) and the key matrix gathered from per-coordinate tables equal
+    the element tuples and their ann_keys, and the decoding inverts the codes of
+    the sampled rows at the int64 edge (no key table fits there: it has n entries)."""
+    for rid in small_ring_ids + ("Z4998", "Z2xZ2048", "Z2xZ3xZ5xZ7"):
+        ring = product_ring(rid)
+        elems = ring.elements()
+        assert ring._matrix.tolist() == [list(x) for x in elems], rid
+        assert list(map(tuple, ring._key_matrix.tolist())) == ring.ann_keys(elems), rid
+    rng = random.Random(6)
+    for mods in INT64_EDGE_MODULI:
+        ring, rows = ProductRing(RingSpec(mods)), _edge_rows(mods, rng)
+        codes = [sum(x * s for x, s in zip(row, ring._strides)) for row in rows.tolist()]
+        assert ring._rows_of(np.array(codes, dtype=np.int64)).tolist() == rows.tolist(), mods
+
+
+def test_zero_divisor_gather_matches_isin_default(small_ring_ids):
+    """ProductRing's Z(R) test on codes, a gather of the mask by position, equals the
+    FiniteRing np.isin default on every element code and on the codes of all sums."""
+    for rid in small_ring_ids:
+        ring = product_ring(rid)
+        mat = ring._matrix
+        for codes in (np.arange(ring.order), ring._pair_codes(np.add, mat, mat)):
+            gathered = ring._in_zero_divisors(codes)
+            assert np.array_equal(gathered, FiniteRing._in_zero_divisors(ring, codes)), rid
 
 
 def test_subring_key_unsupported():
