@@ -54,10 +54,10 @@ def check_graph_cap(count: int, vertex_cap: int) -> None:
 
 @dataclass(frozen=True)
 class VertexClass:
-    """One annihilator class: canonical representative, opaque key, size."""
+    """One annihilator class: canonical representative, its position as key, size."""
 
     representative: Element
-    key: object
+    key: int
     size: int
 
     @property
@@ -113,9 +113,6 @@ class Graph:
         cols = np.nonzero(self.adj)[1].tolist()
         return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adj[i, j])
-
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once as (i, j) with i < j, sorted."""
         rows, cols = np.nonzero(np.triu(self.adj, 1))
@@ -123,13 +120,6 @@ class Graph:
 
     def degree_sequence(self) -> list[int]:
         return sorted(np.count_nonzero(self.adj, axis=1).tolist())
-
-    @cached_property
-    def _label_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def index(self, label: str) -> int:
-        return self._label_index[label]
 
     def edge_labels(self) -> set[frozenset[str]]:
         return {frozenset((self.labels[i], self.labels[j])) for i, j in self.edges()}
@@ -156,9 +146,9 @@ def compress_classes(
     ]
 
 
-def _meet_graph(ring: FiniteRing, labels, keys, class_sizes=None) -> Graph:
-    """Vertices with annihilator keys, adjacent iff their annihilators meet beyond 0."""
-    adj = ring.ann_meet_matrix(keys)
+def _meet_graph(ring: FiniteRing, labels, positions, class_sizes=None) -> Graph:
+    """Vertices at positions in elements(), adjacent iff their annihilators meet beyond 0."""
+    adj = ring.ann_meet_matrix(positions)
     np.fill_diagonal(adj, False)
     return Graph(labels, adj, class_sizes)
 
@@ -183,13 +173,13 @@ def build_torsion(
 ) -> Graph:
     """Uncompressed graph on Z*(R) with the same intersection adjacency.
 
-    Adjacency is evaluated pairwise on the keys of the elements themselves,
+    Adjacency is evaluated pairwise on the positions of the elements themselves,
     not via the class partition, so this build stays an independent object
     to compare the compressed graph against.
     """
-    verts, keys = ring.nonzero_zero_divisors_with_keys(cap)
+    verts, at = ring.nonzero_zero_divisors_with_keys(cap)
     check_graph_cap(len(verts), vertex_cap)
-    return _meet_graph(ring, format_elements(verts, ring.arity), keys)
+    return _meet_graph(ring, format_elements(verts, ring.arity), at)
 
 
 def build_total(

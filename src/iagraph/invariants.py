@@ -263,6 +263,8 @@ def is_isomorphic(
             f"({g.vertex_count} vs {h.vertex_count} vertices)",
             f"isomorphism cap {vertex_cap}",
         )
+    if g is h:
+        return True, dict(zip(g.labels, g.labels))
     n = g.vertex_count
     if n != h.vertex_count or g.edge_count != h.edge_count:
         return False, None

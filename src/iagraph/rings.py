@@ -33,19 +33,19 @@ brute-force engine on ``FiniteRing``:
   class code that orders them by least member, cached on the ring with the
   class index of each position and the representatives' zero-product rows.
 
-The Z(R) mask, the class code, opaque annihilator keys (also read by
-position as one array, for the torsion graph) and their meet matrix default
-to the zero-product matrix: a key is a position in elements(), whose row is
-the annihilator.  That serves any variant, since an annihilator need not be
-principal per coordinate; closed forms override the default.  Product rings
-use closed forms on the ``AnnKey`` g, g[i] = n_i // gcd(n_i, x_i), gathered
-per coordinate from a table over the residues: equal keys mean equal
-annihilators, the class code is the code of the least member (n_i // g[i]
-mod n_i), and x is a zero-divisor iff its class is not that of 1.
-ann(x) and ann(y) meet beyond 0 iff some prime p | n_i divides both
-n_i // g[i] and n_i // h[i], the CRT rule ``shared_support`` evaluates for
-the symbolic graphs too.  The brute-force rows are also the oracle the
-closed forms are tested against.
+An annihilator is keyed by a position in elements().  The Z(R) mask, the
+class code and the meet matrix of a list of positions default to the
+zero-product matrix, whose row at a position is that element's annihilator;
+that serves any variant, since an annihilator need not be principal per
+coordinate.  A product ring overrides them with closed forms on the residues
+decoded from the positions: the class code is the code of the least member,
+gcd(x_i, n_i) mod n_i, gathered per coordinate from a table over the residues;
+x is a zero-divisor iff its class is not that of 1; and ann(x) meets ann(y)
+beyond 0 iff some prime p | n_i divides both x_i and y_i (in Z_n the meet is
+(lcm(n // gcd(n, x), n // gcd(n, y)))), the CRT rule ``shared_support``
+evaluates for the symbolic graphs too.  ``annihilator_key``, g[i] = n_i //
+gcd(n_i, x_i), and its expansion to the ideal stay standalone closed forms.
+The brute-force rows are the oracle the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class CapExceededError(RuntimeError):
 
 
 class UnsupportedVariantError(TypeError):
-    """Operation only defined for one ring variant (e.g. keys on products)."""
+    """Operation only defined for one ring variant (e.g. check_ring on products)."""
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +277,6 @@ class FiniteRing:
         self._require(x, y)
         return tuple((a + b) % n for a, b, n in zip(x, y, self.spec.factors))
 
-    def mul(self, x: Element, y: Element) -> Element:
-        self._require(x, y)
-        return tuple((a * b) % n for a, b, n in zip(x, y, self.spec.factors))
-
     # --- annihilator data, by default from the zero-product matrix --------
     @cached_property
     def _zero_divisor_mask(self) -> np.ndarray:
@@ -298,18 +294,10 @@ class FiniteRing:
         rows = self._zero_product_matrix[1:]
         return np.array([-1] + [ids.setdefault(row.tobytes(), len(ids)) for row in rows])
 
-    def ann_keys(self, xs) -> list:
-        """Opaque annihilator keys of the elements xs, as ann_meet_matrix takes them:
-        by default the position of each in elements(), which indexes its row."""
-        return [self._index(x) for x in xs]
-
-    def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
-        """ann_keys of the elements at these positions of elements(), as one array."""
-        return positions
-
-    def ann_meet_matrix(self, keys) -> np.ndarray:
-        """Boolean matrix: [i, j] iff the annihilators of keys i and j meet beyond 0."""
-        rows = self._zero_product_matrix[np.asarray(keys, dtype=np.intp)].astype(np.int64)
+    def ann_meet_matrix(self, positions) -> np.ndarray:
+        """Boolean matrix: [i, j] iff the annihilators of the elements at positions
+        i and j of elements() meet beyond 0."""
+        rows = self._zero_product_matrix[np.asarray(positions, dtype=np.intp)].astype(np.int64)
         return rows @ rows.T >= 2  # 0 annihilates everything; need one more
 
     # --- the brute-force engine ------------------------------------------
@@ -408,9 +396,6 @@ class FiniteRing:
     def one(self) -> Element:
         return tuple(1 for _ in self.spec.factors)
 
-    def is_zero_divisor(self, x: Element) -> bool:
-        return bool(self._zero_divisor_mask[self._index(x)])
-
     def zero_divisor_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """Z(R), with 0 included by convention."""
         elems = self.elements(cap)
@@ -419,10 +404,10 @@ class FiniteRing:
     def nonzero_zero_divisors_with_keys(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
     ) -> tuple[list[Element], np.ndarray]:
-        """Z*(R) in ascending order, and their annihilator keys as one array."""
+        """Z*(R) in ascending order, and their keys, positions in elements(), as one array."""
         elems = self.elements(cap)
         at = np.flatnonzero(self._zero_divisor_mask)[1:]  # elements()[0] is 0
-        return list(map(elems.__getitem__, at.tolist())), self._ann_keys_at(at)
+        return list(map(elems.__getitem__, at.tolist())), at
 
     def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """ann(x), its own row of the zero-product matrix, computed alone."""
@@ -471,18 +456,19 @@ class FiniteRing:
         return self._class_order[:2]
 
     @cached_property
-    def _classes(self) -> list[tuple[object, list[Element]]]:
+    def _classes(self) -> list[tuple[int, list[Element]]]:
         elems = self.elements(cap=None)
         at, _, starts = self._class_order
         members = list(map(elems.__getitem__, at.tolist()))
         groups = [members[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(members)])]
-        return list(zip(self.ann_keys([g[0] for g in groups]), groups))
+        return list(zip(at[starts].tolist(), groups))
 
     def annihilator_classes(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
-    ) -> list[tuple[object, list[Element]]]:
-        """Partition of Z*(R) by annihilator as (key, sorted members), sorted by
-        least member.  Computed once and cached on the ring: do not mutate it."""
+    ) -> list[tuple[int, list[Element]]]:
+        """Partition of Z*(R) by annihilator as (position of the least member in
+        elements(), sorted members), sorted by least member.  Computed once and
+        cached on the ring: do not mutate it."""
         self.elements(cap)
         return self._classes
 
@@ -582,16 +568,11 @@ class ProductRing(FiniteRing):
             self._element_cache = tuple(cartesian(*[range(n) for n in self.spec.factors]))
         return self._element_cache
 
-    # --- zero divisors and annihilators, closed forms ----------------------
-    def is_zero_divisor(self, x: Element) -> bool:
-        """gcd test per coordinate; gcd(n, 0) = n puts 0 in Z(R) as wanted."""
-        self._require(x)
-        return any(math.gcd(a, n) != 1 for a, n in zip(x, self.spec.factors))
-
+    # --- annihilators as ideals, closed forms -------------------------------
     def annihilator_key(self, x: Element) -> AnnKey:
         """Per-coordinate principal generator of ann(x): g[i] = n_i // gcd(n_i, x_i)."""
         self._require(x)
-        return self.ann_keys([x])[0]
+        return tuple(n // math.gcd(a, n) for a, n in zip(x, self.spec.factors))
 
     def expand_annihilator_key(
         self, key: AnnKey, cap: int | None = DEFAULT_ELEMENT_CAP
@@ -599,6 +580,8 @@ class ProductRing(FiniteRing):
         """All elements of the ideal encoded by a key (coordinate multiples)."""
         if len(key) != self.arity:
             raise ValueError(f"key {key} has arity {len(key)}, ring expects {self.arity}")
+        if not all(g > 0 and n % g == 0 for g, n in zip(key, self.spec.factors)):
+            raise ValueError(f"key {key} needs a positive divisor of n_i in each coordinate")
         size = math.prod(n // g for g, n in zip(key, self.spec.factors))
         if cap is not None and size > cap:
             raise CapExceededError(
@@ -620,45 +603,33 @@ class ProductRing(FiniteRing):
         return self._zero_divisor_mask[codes]
 
     @cached_property
-    def _key_matrix(self) -> np.ndarray:
-        """annihilator_key of every element, one row each, gathered per coordinate
-        from the table of n // gcd(a, n) over the residues a."""
-        keys = np.empty_like(self._matrix)
-        for c, n in enumerate(self.spec.factors):
-            keys[:, c] = (n // np.gcd(np.arange(n, dtype=np.int64), n))[self._matrix[:, c]]
-        return keys
-
-    @cached_property
     def _class_codes(self) -> np.ndarray:
-        # the code of the least member of the class: gcd(x_i, n_i) mod n_i on each coordinate
-        mods = np.array(self.spec.factors, dtype=np.int64)
-        return mods // self._key_matrix % mods @ np.array(self._strides, dtype=np.int64)
+        # the code of the least member of the class: gcd(x_i, n_i) mod n_i on each
+        # coordinate, times its stride, gathered from one table over the residues
+        codes = np.zeros(self.order, dtype=np.int64)
+        for c, (n, s) in enumerate(zip(self.spec.factors, self._strides)):
+            codes += (np.gcd(np.arange(n, dtype=np.int64), n) % n * s)[self._matrix[:, c]]
+        return codes
 
     @cached_property
     def _zero_divisor_mask(self) -> np.ndarray:
         return self._class_codes != sum(self._strides)  # the class of 1 is the units
 
-    def ann_keys(self, xs) -> list[AnnKey]:
-        gcd, columns = math.gcd, zip(zip(*xs), self.spec.factors)
-        return list(zip(*[[n // gcd(a, n) for a in col] for col, n in columns]))
-
-    def _ann_keys_at(self, positions: np.ndarray) -> np.ndarray:
-        return self._key_matrix[positions]
-
-    def ann_meet_matrix(self, keys) -> np.ndarray:
-        """In Z_n, ann(x) meets ann(y) in (lcm(g, h)), nonzero iff a prime p | n divides
-        both n // g = gcd(n, x) and n // h: one support column per coordinate and p."""
-        keys = np.array(keys, dtype=np.int64).reshape(len(keys), self.arity)
-        columns = [(c, n, p) for c, n in enumerate(self.spec.factors) for p, _ in factorize(n)]
-        c, n, p = np.array(columns).T
-        return shared_support(n // keys[:, c] % p == 0)
+    def ann_meet_matrix(self, positions) -> np.ndarray:
+        """In Z_n, ann(x) meets ann(y) in (lcm(n // gcd(n, x), n // gcd(n, y))), nonzero
+        iff a prime p | n divides both gcds, that is both x and y: one support column
+        per coordinate and p, read from the rows of the positions' codes."""
+        rows = self._rows_of(np.asarray(positions, dtype=np.int64))
+        columns = [(c, p) for c, n in enumerate(self.spec.factors) for p, _ in factorize(n)]
+        c, p = np.array(columns).T
+        return shared_support(rows[:, c] % p == 0)
 
 
 class Subring(FiniteRing):
     """An element-set subring of a product ring.
 
     Its annihilators come from the zero-product matrix of the members, the
-    default of ``FiniteRing``, never by key arithmetic.
+    default of ``FiniteRing``, never by closed forms.
     """
 
     _over_cap_text = "subring order {order} above the cap {cap}"
@@ -700,11 +671,6 @@ class Subring(FiniteRing):
             for rows in _blocks(len(mat), len(mat)):
                 if not np.isin(self._pair_codes(op, mat[rows], mat), self._codes).all():
                     raise ValueError(f"subring not closed under {name}")
-
-    def annihilator_key(self, x: Element):
-        raise UnsupportedVariantError(
-            "annihilator keys are defined on product rings only; use annihilator_set"
-        )
 
 
 def product_ring(text_or_spec) -> ProductRing:

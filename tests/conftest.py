@@ -59,7 +59,7 @@ def floyd_warshall_diameter(graph):
     if n <= 1:
         return 0
     inf = n + 1
-    dist = [[0 if i == j else (1 if graph.adjacent(i, j) else inf) for j in range(n)] for i in range(n)]
+    dist = [[0 if i == j else (1 if graph.adj[i, j] else inf) for j in range(n)] for i in range(n)]
     for k in range(n):
         dk = dist[k]
         for i in range(n):

@@ -119,7 +119,7 @@ def test_ia_edges_from_raw_annihilators(small_ring_ids):
             for j in range(i + 1, len(classes)):
                 a = oracle_annihilator(mods, classes[i].representative)
                 b = oracle_annihilator(mods, classes[j].representative)
-                assert g.adjacent(i, j) == ((a & b) != {zero}), (rid, i, j)
+                assert g.adj[i, j] == ((a & b) != {zero}), (rid, i, j)
 
 
 def test_ia_representative_independence(small_ring_ids):
@@ -137,7 +137,7 @@ def test_ia_representative_independence(small_ring_ids):
                 for j in range(i + 1, len(reps)):
                     a = oracle_annihilator(mods, reps[i])
                     b = oracle_annihilator(mods, reps[j])
-                    assert g.adjacent(i, j) == ((a & b) != {zero}), (rid, i, j)
+                    assert g.adj[i, j] == ((a & b) != {zero}), (rid, i, j)
 
 
 def test_ia_vertex_count_equals_class_count(small_ring_ids):
@@ -159,8 +159,8 @@ def test_torsion_z4_single_vertex():
 def test_torsion_z12():
     g = build_torsion(product_ring("Z12"))
     assert g.vertex_count == 7
-    assert g.adjacent(g.index("2"), g.index("10"))
-    assert not g.adjacent(g.index("2"), g.index("3"))
+    assert g.adj[g.labels.index("2"), g.labels.index("10")]
+    assert not g.adj[g.labels.index("2"), g.labels.index("3")]
 
 
 def test_torsion_z3xz3_two_disjoint_edges():
@@ -182,7 +182,7 @@ def test_torsion_matches_brute_force(small_ring_ids):
                 brute = (
                     oracle_annihilator(mods, x) & oracle_annihilator(mods, verts[j])
                 ) != {zero}
-                assert g.adjacent(i, j) == brute, (rid, x, verts[j])
+                assert g.adj[i, j] == brute, (rid, x, verts[j])
 
 
 def test_torsion_on_subrings_matches_annihilator_sets(generated_subrings):
@@ -196,7 +196,7 @@ def test_torsion_on_subrings_matches_annihilator_sets(generated_subrings):
         anns = [sub.annihilator_set(x) for x in verts]
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
-                assert g.adjacent(i, j) == ((anns[i] & anns[j]) != {zero}), (sub, i, j)
+                assert g.adj[i, j] == ((anns[i] & anns[j]) != {zero}), (sub, i, j)
 
 
 def test_whole_ring_subring_graph_matches_ring_graph():
@@ -233,14 +233,14 @@ def test_torsion_collapse_reproduces_compressed_graph(small_ring_ids):
         index_of = {}
         for ci, (_, members) in enumerate(raw):
             for x in members:
-                index_of[tor.index(_fmt(x))] = ci
+                index_of[tor.labels.index(_fmt(x))] = ci
         for i in range(tor.vertex_count):
             for j in range(i + 1, tor.vertex_count):
                 ci, cj = index_of[i], index_of[j]
                 if ci == cj:
-                    assert tor.adjacent(i, j), (rid, i, j)  # same class: always adjacent
+                    assert tor.adj[i, j], (rid, i, j)  # same class: always adjacent
                 else:
-                    assert tor.adjacent(i, j) == g.adjacent(ci, cj), (rid, i, j)
+                    assert tor.adj[i, j] == g.adj[ci, cj], (rid, i, j)
 
 
 def _fmt(x):
@@ -255,7 +255,7 @@ def _fmt(x):
 
 def test_total_z6_example():
     g = build_total(product_ring("Z6"))
-    assert g.adjacent(g.index("4"), g.index("5"))
+    assert g.adj[g.labels.index("4"), g.labels.index("5")]
 
 
 def test_total_zero_row(small_ring_ids):
@@ -264,18 +264,18 @@ def test_total_zero_row(small_ring_ids):
         ring = product_ring(rid)
         g = build_total(ring)
         zset = ring.zero_divisor_set()
-        zi = g.index(_fmt(ring.zero))
+        zi = g.labels.index(_fmt(ring.zero))
         for x in ring.elements():
             if x == ring.zero:
                 continue
-            assert g.adjacent(zi, g.index(_fmt(x))) == (x in zset), (rid, x)
+            assert g.adj[zi, g.labels.index(_fmt(x))] == (x in zset), (rid, x)
 
 
 def test_total_z8_splits_into_two_components():
     g = build_total(product_ring("Z8"))
-    comp = _component_labels(g, g.index("0"))
+    comp = _component_labels(g, g.labels.index("0"))
     assert comp == {"0", "2", "4", "6"}
-    comp2 = _component_labels(g, g.index("1"))
+    comp2 = _component_labels(g, g.labels.index("1"))
     assert comp2 == {"1", "3", "5", "7"}
 
 
@@ -488,11 +488,8 @@ def test_every_compressed_edge_lifts_to_total(small_ring_ids):
         for i, j in g.edges():
             for x in raw[i][1]:
                 for y in raw[j][1]:
-                    assert total.adjacent(total.index(_fmt(x)), total.index(_fmt(y))), (
-                        rid,
-                        x,
-                        y,
-                    )
+                    at = total.labels.index(_fmt(x)), total.labels.index(_fmt(y))
+                    assert total.adj[at], (rid, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +594,7 @@ def test_embed_witness_matches_loop_on_forced_graphs(
             if witness is None:
                 break
             witnesses += 1
-            edges.remove(tuple(ia.index(label) for label in witness["edge"]))
+            edges.remove(tuple(ia.labels.index(label) for label in witness["edge"]))
     assert witnesses >= 100, witnesses
 
 
@@ -708,7 +705,8 @@ def test_serialization_matches_sorted_pair_rendering():
         assert graph_to_dot(graph, "G") == sorted_pair_dot(graph, "G")
         payload = graph_to_json_dict(graph, "R", "kind")
         assert payload["edges"] == sorted(
-            sorted([graph.index(a), graph.index(b)]) for a, b in edge_label_pairs(graph)
+            sorted([graph.labels.index(a), graph.labels.index(b)])
+            for a, b in edge_label_pairs(graph)
         )
         assert payload["vertices"] == [
             {"label": lab, "class_size": size} for lab, size in zip(graph.labels, graph.class_sizes)
