@@ -52,6 +52,13 @@ def check_graph_cap(count: int, vertex_cap: int) -> None:
         raise CapExceededError(f"{count} vertices above {rule}", rule)
 
 
+def check_valuation_cap(exponents, vertex_cap: int) -> None:
+    """The graph-cap check of the valuation graph of prod Z_{p_j^e_j}, whose
+    vertices are the prod (e_j + 1) - 2 tuples other than all-0 and all-e; for
+    Z_n, the divisors d of n with 1 < d < n."""
+    check_graph_cap(math.prod(e + 1 for e in exponents) - 2, vertex_cap)
+
+
 @dataclass(frozen=True)
 class VertexClass:
     """One annihilator class: canonical representative, its position as key, size."""
@@ -230,8 +237,7 @@ def build_ia_zn_symbolic(
             raise ValueError(f"{p} is not prime")
         if factorization[p] < 1:
             raise ValueError(f"exponent {factorization[p]} below 1 for prime {p}")
-    n_vertices = math.prod(e + 1 for e in factorization.values()) - 2
-    check_graph_cap(n_vertices, vertex_cap)
+    check_valuation_cap(factorization.values(), vertex_cap)
     return _valuation_graph(
         [factorization[p] for p in primes],
         lambda v: math.prod(map(pow, primes, v)),

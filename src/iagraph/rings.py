@@ -3,7 +3,11 @@
 A ring here is either Z_{n1} x ... x Z_{nk} (a ``ProductRing``) or an
 element-set subring of one (a ``Subring``).  Elements are tuples of
 residues, one coordinate per factor, and all arithmetic is coordinate-wise
-and exact.
+and exact.  A variant supplies only its members, as the sorted ``_elements``
+tuple, and its ``parent`` product (a product ring is its own); ``FiniteRing``
+owns ``elements(cap)``, the order, the membership test on the position table,
+and everything else they share.  A product ring overrides the order, the
+membership test and the engine parts that have closed forms.
 
 Element-level questions (is x.y = 0? is x + y in Z(R)? does ann(x) meet
 ann(y) beyond 0? which subring do these elements generate?) go through one
@@ -239,19 +243,14 @@ def _blocks(count: int, width: int, first: int | None = None):
 class FiniteRing:
     """Shared surface of product rings and their subrings, and the brute-force engine.
 
-    A variant supplies its members and its parent product; checked arithmetic
-    and the zero-product annihilator path are inherited."""
+    A variant supplies only its members, as the sorted ``_elements`` tuple, its
+    ``spec`` and its ``parent`` product.  Listing, order, membership, checked
+    arithmetic and the zero-product annihilator path are inherited; a product
+    ring overrides what has a closed form."""
 
     spec: RingSpec
-
-    # --- basic structure, provided by subclasses -------------------------
-    @property
-    def order(self) -> int:
-        raise NotImplementedError
-
-    def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
-        """All members in ascending order, so 0 comes first."""
-        raise NotImplementedError
+    parent: "ProductRing"
+    _elements: tuple[Element, ...]
 
     _over_cap_text = "{ring} has order {order}, above the cap {cap}"  # the element-cap error
 
@@ -261,11 +260,17 @@ class FiniteRing:
             text = self._over_cap_text.format(ring=self.spec.ring_id(), order=self.order, cap=cap)
             raise CapExceededError(text, f"element cap {cap}")
 
-    def contains(self, x: Element) -> bool:
-        raise NotImplementedError
+    def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
+        """All members in ascending order, so 0 comes first."""
+        self._check_order_cap(cap)
+        return self._elements
 
-    def parent_product(self) -> "ProductRing":
-        raise NotImplementedError
+    @property
+    def order(self) -> int:
+        return len(self._elements)
+
+    def contains(self, x: Element) -> bool:
+        return x in self._positions
 
     # --- coordinate-wise arithmetic on members ----------------------------
     def _require(self, *xs: Element) -> None:
@@ -296,8 +301,9 @@ class FiniteRing:
 
     def ann_meet_matrix(self, positions) -> np.ndarray:
         """Boolean matrix: [i, j] iff the annihilators of the elements at positions
-        i and j of elements() meet beyond 0."""
-        rows = self._zero_product_matrix[np.asarray(positions, dtype=np.intp)].astype(np.int64)
+        i and j of elements() meet beyond 0.  The common-annihilator counts are
+        taken in float32, which BLAS multiplies and which is exact below 2^24 members."""
+        rows = self._zero_product_matrix[np.asarray(positions, dtype=np.intp)].astype(np.float32)
         return rows @ rows.T >= 2  # 0 annihilates everything; need one more
 
     # --- the brute-force engine ------------------------------------------
@@ -314,8 +320,7 @@ class FiniteRing:
     @cached_property
     def _matrix(self) -> np.ndarray:
         """elements() as an order x arity int64 matrix; callers enforce the cap first."""
-        xs = self.elements(cap=None)
-        return np.array(xs, dtype=np.int64).reshape(len(xs), self.arity)
+        return np.array(self._elements, dtype=np.int64).reshape(self.order, self.arity)
 
     @cached_property
     def _codes(self) -> np.ndarray:
@@ -328,14 +333,8 @@ class FiniteRing:
 
     @cached_property
     def _positions(self) -> dict[Element, int]:
-        return {x: i for i, x in enumerate(self.elements(cap=None))}
-
-    def _index(self, x: Element) -> int:
-        """Position of x in elements()."""
-        try:
-            return self._positions[x]
-        except KeyError:
-            raise ValueError(f"{x} is not a member of {self!r}") from None
+        """Position of each member in elements()."""
+        return {x: i for i, x in enumerate(self._elements)}
 
     def _pair_codes(self, op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Codes of op(a_i, b_j) for element rows a_i of a and b_j of b, whose
@@ -396,11 +395,6 @@ class FiniteRing:
     def one(self) -> Element:
         return tuple(1 for _ in self.spec.factors)
 
-    def zero_divisor_set(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
-        """Z(R), with 0 included by convention."""
-        elems = self.elements(cap)
-        return set(map(elems.__getitem__, np.flatnonzero(self._zero_divisor_mask).tolist()))
-
     def nonzero_zero_divisors_with_keys(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
     ) -> tuple[list[Element], np.ndarray]:
@@ -412,7 +406,8 @@ class FiniteRing:
     def annihilator_set(self, x: Element, cap: int | None = DEFAULT_ELEMENT_CAP) -> set[Element]:
         """ann(x), its own row of the zero-product matrix, computed alone."""
         elems = self.elements(cap)
-        i = self._index(x)
+        if (i := self._positions.get(x)) is None:
+            raise ValueError(f"{x} is not a member of {self!r}")
         row = self._pair_codes(np.multiply, self._matrix[i : i + 1], self._matrix)[0] == 0
         return {elems[j] for j in row.nonzero()[0]}
 
@@ -452,14 +447,13 @@ class FiniteRing:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The members of annihilator_classes(cap), in order, as positions in
         elements(), and the index of the class of each."""
-        self.elements(cap)
+        self._check_order_cap(cap)
         return self._class_order[:2]
 
     @cached_property
     def _classes(self) -> list[tuple[int, list[Element]]]:
-        elems = self.elements(cap=None)
         at, _, starts = self._class_order
-        members = list(map(elems.__getitem__, at.tolist()))
+        members = list(map(self._elements.__getitem__, at.tolist()))
         groups = [members[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(members)])]
         return list(zip(at[starts].tolist(), groups))
 
@@ -469,7 +463,7 @@ class FiniteRing:
         """Partition of Z*(R) by annihilator as (position of the least member in
         elements(), sorted members), sorted by least member.  Computed once and
         cached on the ring: do not mutate it."""
-        self.elements(cap)
+        self._check_order_cap(cap)
         return self._classes
 
     @cached_property
@@ -519,7 +513,7 @@ class FiniteRing:
             tuple(sum(c * h[j] for c, h in zip(cs, basis)) % n for j, n in enumerate(mods))
             for cs in cartesian(*map(range, sizes))
         )
-        return Subring(self.parent_product(), frozenset(members))
+        return Subring(self.parent, frozenset(members))
 
     def has_ann_direct_sum_decomposition(
         self, cap: int | None = DEFAULT_ELEMENT_CAP
@@ -532,7 +526,7 @@ class FiniteRing:
         annihilator is the whole nonzero annihilator), so it suffices to
         scan pairs of distinct annihilator classes, first pair first.
         """
-        self.elements(cap)
+        self._check_order_cap(cap)
         reps, rows = self._representative_rows
         sizes = rows.sum(axis=1)
         sized = np.triu(np.multiply.outer(sizes, sizes) == self.order, 1)
@@ -547,7 +541,6 @@ class ProductRing(FiniteRing):
 
     def __init__(self, spec: RingSpec):
         self.spec = spec
-        self._element_cache: tuple[Element, ...] | None = None
 
     def __repr__(self) -> str:
         return f"ProductRing({self.spec.ring_id()})"
@@ -556,17 +549,16 @@ class ProductRing(FiniteRing):
     def order(self) -> int:
         return self.spec.order
 
-    def parent_product(self) -> "ProductRing":
+    @property
+    def parent(self) -> "ProductRing":
         return self
 
     def contains(self, x: Element) -> bool:
         return len(x) == self.arity and all(0 <= a < n for a, n in zip(x, self.spec.factors))
 
-    def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
-        self._check_order_cap(cap)
-        if self._element_cache is None:
-            self._element_cache = tuple(cartesian(*[range(n) for n in self.spec.factors]))
-        return self._element_cache
+    @cached_property
+    def _elements(self) -> tuple[Element, ...]:
+        return tuple(cartesian(*[range(n) for n in self.spec.factors]))
 
     # --- annihilators as ideals, closed forms -------------------------------
     def annihilator_key(self, x: Element) -> AnnKey:
@@ -637,30 +629,15 @@ class Subring(FiniteRing):
     def __init__(self, parent: ProductRing, members: frozenset[Element]):
         self.parent = parent
         self.spec = parent.spec
-        self.members = members
         if parent.zero not in members:
             raise ValueError("subring must contain 0")
-        self._element_cache = tuple(sorted(members))
-        for x in self._element_cache:
+        self._elements = tuple(sorted(members))
+        for x in self._elements:
             if not parent.contains(x):
                 raise ValueError(f"{x} is outside the parent ring")
 
     def __repr__(self) -> str:
-        return f"Subring({self.spec.ring_id()}, {len(self.members)} members)"
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    def parent_product(self) -> ProductRing:
-        return self.parent
-
-    def elements(self, cap: int | None = DEFAULT_ELEMENT_CAP) -> tuple[Element, ...]:
-        self._check_order_cap(cap)
-        return self._element_cache
-
-    def contains(self, x: Element) -> bool:
-        return x in self.members
+        return f"Subring({self.spec.ring_id()}, {self.order} members)"
 
     def validate_closure(self) -> None:
         """Raise ValueError unless the members are closed under + and *.  A finite

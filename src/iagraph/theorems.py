@@ -30,7 +30,8 @@ witness reads the elements.  Each cap is one rule, checked in the layer
 that owns it:
 
 * graph: the vertices of any graph, in ``graphs.check_graph_cap`` (every
-  builder, and the signature cache before a lookup);
+  builder, and through ``check_valuation_cap`` the signature cache before a
+  lookup);
 * element: every element scan, in the ring's ``elements(cap)``;
 * subring, total, torsion: the ring order of T2.subring, T2.embed and the
   two torsion checks, in ``_run_checks`` before the check runs, from the
@@ -81,7 +82,7 @@ from .graphs import (
     build_ia,
     build_ia_zn_symbolic,
     build_torsion,
-    check_graph_cap,
+    check_valuation_cap,
     zn_symbolic_from_n,
 )
 from .invariants import DEFAULT_ISO_VERTEX_CAP, InvariantReport, diameter, invariants, is_isomorphic
@@ -287,17 +288,11 @@ def _factor_signatures(factors) -> tuple[tuple[int, ...], ...]:
     return tuple(_signature((n,)) for n in factors)
 
 
-def _check_graph_cap(sig, graph_cap: int) -> None:
-    """Raise the cap error if the signature's valuation graph, one vertex per
-    divisor d of n with 1 < d < n, has more vertices than the graph cap."""
-    check_graph_cap(math.prod(e + 1 for e in sig) - 2, graph_cap)
-
-
 def _signature_invariants(sig, graph_cap: int) -> InvariantReport:
     """The cached report of the signature's valuation graph, checked against the
     graph cap; a miss is built as the divisor graph of the first len(sig) primes
     raised to the exponents of sig."""
-    _check_graph_cap(sig, graph_cap)
+    check_valuation_cap(sig, graph_cap)
     report = _SIGNATURE_CACHE.get(sig)
     if report is None:
         factorization = dict(zip(_first_primes(len(sig)), sig))
@@ -563,7 +558,7 @@ def _check_gcd_adj(ctx: _RingContext):
     Both caps are decided before either graph is built."""
     if len(ctx.factors) != 1:
         return _INAPPLICABLE
-    _check_graph_cap(ctx.signature, ctx.caps.graph)
+    check_valuation_cap(ctx.signature, ctx.caps.graph)
     brute = ctx.ia
     symbolic = zn_symbolic_from_n(ctx.factors[0], ctx.caps.graph)
     if set(brute.labels) == set(symbolic.labels) and brute.edge_labels() == symbolic.edge_labels():

@@ -39,6 +39,11 @@ def oracle_zero_divisors(mods):
     return out
 
 
+def zero_divisor_set(ring):
+    """Z(R) with 0 included, as the library lists it (not an oracle)."""
+    return {ring.zero, *ring.nonzero_zero_divisors_with_keys()[0]}
+
+
 def oracle_classes(mods):
     """Partition of Z*(R) by (frozen) annihilator set, keyed by least member."""
     zero = tuple(0 for _ in mods)

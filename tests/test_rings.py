@@ -39,6 +39,7 @@ from conftest import (
     oracle_mul,
     oracle_zero_divisors,
     ring_elements,
+    zero_divisor_set,
 )
 
 
@@ -173,14 +174,14 @@ def test_out_of_range_rejected():
 
 
 def test_is_zero_divisor_z12():
-    zset = product_ring("Z12").zero_divisor_set()
+    zset = zero_divisor_set(product_ring("Z12"))
     assert (8,) in zset
     assert (5,) not in zset
     assert (0,) in zset
 
 
 def test_is_zero_divisor_product():
-    zset = product_ring("Z3xZ3").zero_divisor_set()
+    zset = zero_divisor_set(product_ring("Z3xZ3"))
     assert (1, 0) in zset
     assert (1, 1) not in zset
 
@@ -189,7 +190,7 @@ def test_zero_divisor_lemma_sweep():
     """For 1 < k < n, k is a nonzero zero-divisor iff gcd(k, n) != 1,
     checked against the definition itself."""
     for n in range(2, 120):
-        zset = product_ring(f"Z{n}").zero_divisor_set()
+        zset = zero_divisor_set(product_ring(f"Z{n}"))
         brute = oracle_zero_divisors((n,))
         for k in range(1, n):
             expected = math.gcd(k, n) != 1
@@ -199,15 +200,15 @@ def test_zero_divisor_lemma_sweep():
 
 def test_zero_divisor_set_z12():
     ring = product_ring("Z12")
-    assert ring.zero_divisor_set() == {(0,), (2,), (3,), (4,), (6,), (8,), (9,), (10,)}
+    assert zero_divisor_set(ring) == {(0,), (2,), (3,), (4,), (6,), (8,), (9,), (10,)}
 
 
 def test_zero_divisor_set_field():
-    assert product_ring("Z7").zero_divisor_set() == {(0,)}
+    assert zero_divisor_set(product_ring("Z7")) == {(0,)}
 
 
 def test_zero_divisor_set_product():
-    got = product_ring("Z3xZ3").zero_divisor_set()
+    got = zero_divisor_set(product_ring("Z3xZ3"))
     expected = {(0, 0)} | {(a, 0) for a in (1, 2)} | {(0, b) for b in (1, 2)}
     assert got == expected
 
@@ -215,7 +216,7 @@ def test_zero_divisor_set_product():
 def test_zero_divisor_set_matches_oracle(small_ring_ids):
     for rid in small_ring_ids:
         ring = product_ring(rid)
-        assert ring.zero_divisor_set() == oracle_zero_divisors(ring.spec.factors), rid
+        assert zero_divisor_set(ring) == oracle_zero_divisors(ring.spec.factors), rid
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +354,15 @@ def test_support_meet_rule_matches_lcm_rule_past_int32():
     meet = ring.ann_meet_matrix([2, n - 2, 2**12, 5**12])
     assert meet[0, 1]
     assert not meet[2, 3]
-    assert ring._element_cache is None
+    assert "_elements" not in vars(ring)
 
 
 def test_position_meet_matches_zero_product_default(small_ring_ids):
     """ProductRing's closed-form meet by position equals the FiniteRing default,
-    which reads the zero-product rows: on every position, and on Z360xZ10, whose
-    3600-row integer product takes about a minute, on every 7th position and the
-    least member of every class."""
+    which reads the zero-product rows: on every position, all 3600 of Z360xZ10 too."""
     for rid in small_ring_ids + ("Z12xZ30", "Z6xZ10xZ15", "Z360xZ10"):
         ring = product_ring(rid)
         at = np.arange(ring.order)
-        if ring.order > 1000:
-            least = [key for key, _ in ring.annihilator_classes()]
-            at = np.union1d(at[::7], least)
         expected = FiniteRing.ann_meet_matrix(ring, at)
         assert np.array_equal(ring.ann_meet_matrix(at), expected), rid
 
@@ -432,7 +428,7 @@ def test_zero_divisors_not_ideal_z12():
     witness = ring.zero_divisor_ideal_witness()
     assert witness is not None
     x, y = witness
-    zset = ring.zero_divisor_set()
+    zset = zero_divisor_set(ring)
     assert x in zset and y in zset and ring.add(x, y) not in zset
 
 
@@ -445,7 +441,7 @@ def test_zero_divisors_absorb_multiplication(small_ring_ids):
     therefore only needs additive closure."""
     for rid in small_ring_ids[:8]:
         ring = product_ring(rid)
-        zset = ring.zero_divisor_set()
+        zset = zero_divisor_set(ring)
         for z in zset:
             for r in ring.elements():
                 assert oracle_mul(ring.spec.factors, r, z) in zset, (rid, r, z)
@@ -504,7 +500,7 @@ def test_subring_generated_by_one_is_whole_ring():
 def test_subring_diagonal():
     ring = product_ring("Z2xZ2")
     sub = ring.subring_generated([(1, 1)])
-    assert sub.members == frozenset({(0, 0), (1, 1)})
+    assert frozenset(sub.elements()) == {(0, 0), (1, 1)}
     assert sub.contains(ring.one)
 
 
@@ -512,7 +508,7 @@ def test_subring_mixed_generators():
     ring = product_ring("Z4xZ4")
     sub = ring.subring_generated([(2, 0), (1, 1)])
     assert sub.order == 8
-    assert sub.members == frozenset(
+    assert frozenset(sub.elements()) == frozenset(
         (a, b) for a in range(4) for b in range(4) if (a - b) % 2 == 0
     )
     sub.validate_closure()
@@ -577,7 +573,7 @@ def test_small_subring_of_huge_parent():
     x = (500000, 0)
     sub = Subring(parent, frozenset({parent.zero, x}))
     sub.validate_closure()
-    assert sub.zero_divisor_set() == {parent.zero, x}
+    assert zero_divisor_set(sub) == {parent.zero, x}
     assert sub.zero_divisor_ideal_witness() is None
     assert sub.annihilator_set(x) == {parent.zero, x}
     assert build_total(sub).edge_count == 1
@@ -592,7 +588,7 @@ def test_subring_of_huge_modulus_multiplies_exactly():
     sub = Subring(parent, frozenset({parent.zero, x}))
     sub.validate_closure()
     assert sub.annihilator_set(x) == {parent.zero, x}
-    assert sub.zero_divisor_set() == {parent.zero, x}
+    assert zero_divisor_set(sub) == {parent.zero, x}
     with pytest.raises(ValueError, match="not closed under"):
         Subring(parent, frozenset({parent.zero, (3,)})).validate_closure()
 
@@ -606,7 +602,7 @@ def test_element_codes_past_int64_are_refused():
     with pytest.raises(CapExceededError, match="past int64 element codes"):
         s.annihilator_set((1, 1))
     with pytest.raises(CapExceededError):
-        s.zero_divisor_set()
+        zero_divisor_set(s)
     with pytest.raises(CapExceededError):
         s.validate_closure()
     # the key closed form reads no codes
@@ -682,7 +678,7 @@ def test_subring_zero_divisors_computed_internally():
     # (1,1) is a unit in the parent and stays a non-zero-divisor inside
     ring = product_ring("Z2xZ2")
     sub = ring.subring_generated([(1, 1)])
-    assert sub.zero_divisor_set() == {(0, 0)}
+    assert zero_divisor_set(sub) == {(0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +715,7 @@ def test_decomposition_witness_is_real(small_ring_ids):
 
 
 def loop_ideal_witness(ring):
-    zset = ring.zero_divisor_set()
+    zset = zero_divisor_set(ring)
     zs = sorted(zset)
     for i, x in enumerate(zs):
         for y in zs[i:]:
@@ -731,7 +727,7 @@ def loop_ideal_witness(ring):
 def loop_common_annihilator(ring):
     zero = ring.zero
     candidates = set(ring.elements())
-    for z in sorted(ring.zero_divisor_set()):
+    for z in sorted(zero_divisor_set(ring)):
         candidates = {r for r in candidates if oracle_mul(ring.spec.factors, r, z) == zero}
         if candidates == {zero}:
             break
@@ -771,9 +767,9 @@ def test_subring_zero_divisors_and_classes_match_loops(generated_subrings):
         zero = sub.zero
         elems = sub.elements()
         ann = {x: {r for r in elems if oracle_mul(sub.spec.factors, r, x) == zero} for x in elems}
-        assert sub.zero_divisor_set() == {x for x in elems if x == zero or len(ann[x]) >= 2}
+        assert zero_divisor_set(sub) == {x for x in elems if x == zero or len(ann[x]) >= 2}
         groups = {}
-        for x in sorted(sub.zero_divisor_set() - {zero}):
+        for x in sorted(zero_divisor_set(sub) - {zero}):
             groups.setdefault(frozenset(ann[x]), []).append(x)
         expected = sorted(groups.values())
         assert [members for _, members in sub.annihilator_classes()] == expected, sub
@@ -817,7 +813,8 @@ def test_generated_subring_is_the_ring_exactly_when_it_fills_it(monkeypatch):
             sub = ring.subring_generated([x, y])
             assert (sub is ring) == (len(members) == ring.order), (rid, x, y)
             if sub is not ring:
-                assert isinstance(sub, Subring) and sub.members == members, (rid, x, y)
+                assert isinstance(sub, Subring), (rid, x, y)
+                assert set(sub.elements()) == members, (rid, x, y)
                 sub.validate_closure()
     ring = product_ring("Z2xZ3xZ5")
     gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -973,7 +970,7 @@ def test_element_cap_enforced():
     with pytest.raises(CapExceededError):
         ring.elements()
     with pytest.raises(CapExceededError):
-        ring.zero_divisor_set()
+        zero_divisor_set(ring)
     assert len(ring.elements(cap=None)) == 7000
 
 
@@ -982,8 +979,8 @@ def test_subring_generation_checks_the_cap_without_listing_elements():
     one raises each ring type's own element-cap error."""
     ring = product_ring("Z300xZ300")
     sub = ring.subring_generated([(150, 0)], cap=None)
-    assert ring._element_cache is None
-    assert sub.members == {(0, 0), (150, 0)}
+    assert "_elements" not in vars(ring)
+    assert frozenset(sub.elements()) == {(0, 0), (150, 0)}
     with pytest.raises(CapExceededError, match=r"^Z300xZ300 has order 90000, above the cap 5000$"):
         ring.subring_generated([(150, 0)])
     big = ring.subring_generated([(1, 0)], cap=None)
@@ -1057,3 +1054,30 @@ def test_no_module_imports_a_name_it_never_uses():
             ):
                 exported |= {e.value for e in node.value.elts}
         assert imported - read - exported == set(), path.name
+
+
+def test_every_module_private_name_is_read():
+    """No linter is installed, so this stands in for its dead-code rule: every
+    module-level private name of the package (``_x`` bound by a def, a class or
+    an assignment) is read somewhere in the package, as a name or an attribute."""
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(iagraph.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    for name, tree in trees.items():
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        private = {b for b in bound if b.startswith("_") and not b.startswith("__")}
+        assert private - read == set(), name
